@@ -8,56 +8,18 @@ consistency scoring.  A synthetic scene generator with exact ground truth
 and a metric suite close the loop for end-to-end evaluation.
 """
 
-from .attention import SaliencyMap, aggregate, binarize, effective_weights, \
-    head_variance, head_weights
-from .crossview import (ProjectionRecord, activate_confidence, close_masks,
-                        confidence_to_variance, dynamic_score,
-                        gather_projections, mle_loss, refine_masks,
-                        score_cloud)
-from .evaluation import (MetricReport, ate, boundary_f, cloud_metrics,
-                         evaluate_masks, jaccard_mean, recall_fraction,
-                         umeyama_alignment)
-from .geometry import (BehindCameraError, CameraModel,
-                       DegenerateBaselineError, EssentialMatrix,
-                       RelativePose, epipolar_residual,
-                       epipolar_residual_batch, essential_from_poses,
-                       project_dynamic, project_dynamic_batch,
-                       project_dynamic_world_batch, project_points,
-                       project_rigid, project_rigid_batch,
-                       residual_first_order, unproject_pixels)
+from .evaluation import MetricReport, evaluate_masks
 from .pipeline import PipelineConfig, PipelineResult, run
-from .purification import (DynamicPointCloud, SpatialIndex, build_index,
-                           mask_from_cloud, purify, radius_neighbors,
-                           read_ply, unproject_mask, write_ply)
-from .synthetic import (GroundTruth, MoverSpec, SceneSpec, corrupt, generate,
-                        load_ground_truth)
+from .synthetic import SceneSpec, generate
 from .tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
-                        load_scene, read_pgm, read_tensor, save_scene,
-                        validate_bundle, write_pgm, write_ppm, write_tensor)
+                        load_scene)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SaliencyMap", "aggregate", "binarize", "effective_weights",
-    "head_variance", "head_weights",
-    "ProjectionRecord", "activate_confidence", "close_masks",
-    "confidence_to_variance", "dynamic_score", "gather_projections",
-    "mle_loss", "refine_masks", "score_cloud",
-    "MetricReport", "ate", "boundary_f", "cloud_metrics", "evaluate_masks",
-    "jaccard_mean", "recall_fraction", "umeyama_alignment",
-    "BehindCameraError", "CameraModel", "DegenerateBaselineError",
-    "EssentialMatrix", "RelativePose", "epipolar_residual",
-    "epipolar_residual_batch", "essential_from_poses", "project_dynamic",
-    "project_dynamic_batch", "project_dynamic_world_batch", "project_points",
-    "project_rigid", "project_rigid_batch", "residual_first_order",
-    "unproject_pixels",
+    "MetricReport", "evaluate_masks",
     "PipelineConfig", "PipelineResult", "run",
-    "DynamicPointCloud", "SpatialIndex", "build_index", "mask_from_cloud",
-    "purify", "radius_neighbors", "read_ply", "unproject_mask", "write_ply",
-    "GroundTruth", "MoverSpec", "SceneSpec", "corrupt", "generate",
-    "load_ground_truth",
+    "SceneSpec", "generate",
     "SceneBundle", "SceneFormatError", "TensorFormatError", "load_scene",
-    "read_pgm", "read_tensor", "save_scene", "validate_bundle", "write_pgm",
-    "write_ppm", "write_tensor",
     "__version__",
 ]

@@ -39,6 +39,16 @@ def head_variance(head: np.ndarray) -> float:
     return float(np.mean((arr - mean) ** 2))
 
 
+def _head_variances(maps: np.ndarray, eps: float) -> np.ndarray:
+    """Per-head variances of an (H, H', W') stack, after checking the inputs."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    arr = np.asarray(maps, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[0] < 1:
+        raise ValueError(f"head stack shape {arr.shape}, wanted (H, H', W')")
+    return np.array([head_variance(arr[h]) for h in range(arr.shape[0])])
+
+
 def head_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Raw variance-proportional weights w_h = V_h / (sum_k V_k + eps).
 
@@ -46,12 +56,7 @@ def head_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     consequence the raw weights sum to slightly under 1.  `aggregate`
     renormalizes before fusing.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    arr = np.asarray(maps, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] < 1:
-        raise ValueError(f"head stack shape {arr.shape}, wanted (H, H', W')")
-    variances = np.array([head_variance(arr[h]) for h in range(arr.shape[0])])
+    variances = _head_variances(maps, eps)
     return variances / (variances.sum() + eps)
 
 
@@ -61,14 +66,12 @@ def effective_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     Renormalizes the raw variance weights to sum to 1; when the total
     variance is below the fallback threshold, all heads get equal weight.
     """
-    arr = np.asarray(maps, dtype=np.float64)
-    raw = head_weights(arr, eps)
-    total = raw.sum()
-    n = arr.shape[0]
-    if float(np.array([head_variance(arr[h]) for h in range(n)]).sum()) \
-            <= UNIFORM_FALLBACK_TOTAL:
-        return np.full(n, 1.0 / n)
-    return raw / total
+    variances = _head_variances(maps, eps)
+    total = variances.sum()
+    if total <= UNIFORM_FALLBACK_TOTAL:
+        return np.full(len(variances), 1.0 / len(variances))
+    raw = variances / (total + eps)
+    return raw / raw.sum()
 
 
 def aggregate(maps: np.ndarray, eps: float = DEFAULT_EPS,

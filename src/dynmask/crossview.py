@@ -12,38 +12,17 @@ a single morphological closing pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
+from . import geometry
 from .purification import DynamicPointCloud, mask_from_cloud
 from .tensor_io import SceneBundle
 
 LOGIT_CLAMP = 40.0
-VARIANCE_EPS = 1e-12
 DEFAULT_LAMBDA = 1.0 / 3.0
 DEFAULT_THETA_DYN = 0.1
 DEFAULT_OCCLUSION_TOL = 0.05
-
-
-class EmptyVisibilityError(ValueError):
-    """Score requested for a point no view can see."""
-
-
-@dataclass
-class ProjectionRecord:
-    """One point's projection into one view, with everything sampled there."""
-
-    point_id: int
-    view: int
-    pixel: np.ndarray           # (2,) subpixel (u, v) in the target view
-    depth_projected: float      # z of the point in the target camera
-    depth_sampled: float        # bilinear depth map value (0 if none valid)
-    color_projected: np.ndarray  # (3,) color carried from the source view
-    color_sampled: np.ndarray    # (3,) bilinear image value
-    confidence: float
-    visible: bool
 
 
 def activate_confidence(logits: np.ndarray) -> np.ndarray:
@@ -54,12 +33,6 @@ def activate_confidence(logits: np.ndarray) -> np.ndarray:
     """
     l = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
     return 1.0 + np.exp(l)
-
-
-def confidence_to_variance(confidence: np.ndarray) -> np.ndarray:
-    """Depth observation variance sigma^2 = 1 / (C - 1 + eps)."""
-    c = np.asarray(confidence, dtype=np.float64)
-    return 1.0 / (c - 1.0 + VARIANCE_EPS)
 
 
 def bilinear_sample(values: np.ndarray, support: np.ndarray,
@@ -102,115 +75,49 @@ def bilinear_sample(values: np.ndarray, support: np.ndarray,
     return sampled, ok
 
 
-def _project_into_view(positions: np.ndarray, colors: np.ndarray,
-                       bundle: SceneBundle, confidences: np.ndarray,
-                       view: int, occlusion_tol: float
-                       ) -> tuple[np.ndarray, ...]:
+def _project_into_view(positions: np.ndarray, bundle: SceneBundle,
+                       confidences: np.ndarray, view: int,
+                       occlusion_tol: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized projection of many points into one view.
 
-    Returns (uv, z, depth_sampled, color_sampled, conf_sampled, visible).
+    Depth, color and confidence are stacked into one (H, W, 5) array and
+    sampled in a single pass; `bilinear_sample` treats channels
+    independently, so this equals three separate samplings.  Returns
+    (z, samples, visible) with samples (N, 5) = depth, RGB, confidence,
+    zero where the point does not land on valid depth.
     """
-    from .geometry import project_points
-
-    cam = bundle.cameras[view]
-    uv, z = project_points(positions, cam)
+    uv, z = geometry.project_points(positions, bundle.cameras[view])
     h, w = bundle.height, bundle.width
     in_front = z > 1e-9
     in_bounds = ((uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
                  & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
     candidate = in_front & in_bounds
 
-    support = bundle.depths[view] > 0
-    depth_s = np.zeros(len(positions))
-    color_s = np.zeros((len(positions), 3))
-    conf_s = np.zeros(len(positions))
+    samples = np.zeros((len(positions), 5))
     ok = np.zeros(len(positions), dtype=bool)
     if candidate.any():
-        u = uv[candidate, 0]
-        v = uv[candidate, 1]
-        d, d_ok = bilinear_sample(bundle.depths[view], support, u, v)
-        c, _ = bilinear_sample(bundle.images[view], support, u, v)
-        cf, _ = bilinear_sample(confidences[view], support, u, v)
-        depth_s[candidate] = d
-        color_s[candidate] = c
-        conf_s[candidate] = cf
-        ok[candidate] = d_ok
+        stack = np.dstack((bundle.depths[view], bundle.images[view],
+                           confidences[view]))
+        samples[candidate], ok[candidate] = bilinear_sample(
+            stack, bundle.depths[view] > 0,
+            uv[candidate, 0], uv[candidate, 1])
 
-    not_occluded = z <= depth_s + occlusion_tol * z
+    not_occluded = z <= samples[:, 0] + occlusion_tol * z
     visible = candidate & ok & not_occluded
-    return uv, z, depth_s, color_s, conf_s, visible
-
-
-def gather_projections(position: np.ndarray, color: np.ndarray,
-                       bundle: SceneBundle, confidences: np.ndarray,
-                       point_id: int = 0,
-                       occlusion_tol: float = DEFAULT_OCCLUSION_TOL
-                       ) -> list[ProjectionRecord]:
-    """Project one point into every view and sample what each view saw there.
-
-    `confidences` is the (T, H, W) activated confidence stack.  Views where
-    the point lands out of frame, behind the camera, on invalid depth, or
-    behind nearer geometry (projected depth exceeding sampled depth by more
-    than the relative tolerance) come back with visible=False.
-    """
-    pos = np.asarray(position, dtype=np.float64).reshape(1, 3)
-    col = np.asarray(color, dtype=np.float64).reshape(1, 3)
-    records = []
-    for view in range(bundle.frames):
-        uv, z, d_s, c_s, cf_s, vis = _project_into_view(
-            pos, col, bundle, confidences, view, occlusion_tol)
-        records.append(ProjectionRecord(
-            point_id=point_id, view=view, pixel=uv[0],
-            depth_projected=float(z[0]), depth_sampled=float(d_s[0]),
-            color_projected=col[0], color_sampled=c_s[0],
-            confidence=float(cf_s[0]), visible=bool(vis[0])))
-    return records
-
-
-def mle_loss(records: list[ProjectionRecord]) -> float:
-    """Joint negative log-likelihood of the visible depth residuals.
-
-    Each visible view contributes r^2 / (2 sigma^2) + log(sigma^2) / 2 with
-    the variance implied by its confidence.  Diagnostic only; the decision
-    rule uses `dynamic_score`.
-    """
-    visible = [r for r in records if r.visible]
-    if not visible:
-        raise EmptyVisibilityError("no visible projection for this point")
-    total = 0.0
-    for rec in visible:
-        var = float(confidence_to_variance(rec.confidence))
-        residual = rec.depth_projected - rec.depth_sampled
-        total += residual * residual / (2.0 * var) + 0.5 * np.log(var)
-    return float(total)
-
-
-def dynamic_score(records: list[ProjectionRecord],
-                  lam: float = DEFAULT_LAMBDA) -> float:
-    """Confidence-weighted cross-view inconsistency of one point.
-
-    S = sum_i w_i (|depth residual_i| + lam * mean |color residual_i|)
-    with w_i the confidences normalized over the visible views.  Zero means
-    every view agrees the point is where its geometry says it should be.
-    """
-    visible = [r for r in records if r.visible]
-    if not visible:
-        raise EmptyVisibilityError("no visible projection for this point")
-    conf = np.array([r.confidence for r in visible])
-    weights = conf / conf.sum()
-    score = 0.0
-    for wt, rec in zip(weights, visible):
-        r_d = abs(rec.depth_projected - rec.depth_sampled)
-        r_c = float(np.mean(np.abs(rec.color_projected - rec.color_sampled)))
-        score += wt * (r_d + lam * r_c)
-    return float(score)
+    return z, samples, visible
 
 
 def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
                 confidences: np.ndarray, lam: float = DEFAULT_LAMBDA,
                 occlusion_tol: float = DEFAULT_OCCLUSION_TOL
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `dynamic_score` over all alive points.
+    """Confidence-weighted cross-view inconsistency of every alive point.
+
+    S = sum_i w_i (|depth residual_i| + lam * mean |color residual_i|) over
+    the views i that see the point, with w_i its sampled confidences
+    normalized over those views.  Zero means every view agrees the point
+    is where its geometry says it should be.
 
     Returns (scores, visible_counts), both length len(cloud).  Dead points
     and points visible nowhere carry score 0 with count 0; callers must
@@ -233,10 +140,11 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
     for view in range(bundle.frames):
-        _, z, d_s, c_s, cf_s, vis = _project_into_view(
-            pos, colors, bundle, confidences, view, occlusion_tol)
-        r_d = np.abs(z - d_s)
-        r_c = np.mean(np.abs(colors - c_s), axis=1)
+        z, samples, vis = _project_into_view(pos, bundle, confidences, view,
+                                             occlusion_tol)
+        cf_s = samples[:, 4]
+        r_d = np.abs(z - samples[:, 0])
+        r_c = np.mean(np.abs(colors - samples[:, 1:4]), axis=1)
         contrib = cf_s * (r_d + lam * r_c)
         weight_sum += np.where(vis, cf_s, 0.0)
         weighted_res += np.where(vis, contrib, 0.0)

@@ -36,7 +36,6 @@ class PipelineConfig:
     lam: float = 1.0 / 3.0            # color-residual weight in the score
     theta_dyn: float = 0.1            # dynamic-score threshold
     occlusion_tolerance: float = 0.05  # relative depth slack for visibility
-    boundary_tol_frac: float = 0.008  # boundary-metric tolerance
     enable_attention_weighting: bool = True
     enable_purification: bool = True
     enable_uncertainty: bool = True
@@ -58,9 +57,6 @@ class PipelineConfig:
         if self.occlusion_tolerance < 0:
             raise ValueError(f"occlusion_tolerance "
                              f"{self.occlusion_tolerance} must be >= 0")
-        if self.boundary_tol_frac <= 0:
-            raise ValueError(f"boundary_tol_frac {self.boundary_tol_frac} "
-                             "must be > 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

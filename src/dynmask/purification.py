@@ -172,30 +172,6 @@ def scene_diagonal(cloud: DynamicPointCloud) -> float:
     return float(np.linalg.norm(span))
 
 
-def full_scene_diagonal(bundle: SceneBundle) -> float:
-    """Bounding-box diagonal of every valid-depth pixel across all frames.
-
-    Alternative scale reference for the purification radius when the
-    dynamic cloud alone would underestimate scene extent.
-    """
-    mins = np.full(3, np.inf)
-    maxs = np.full(3, -np.inf)
-    seen = False
-    for f in range(bundle.frames):
-        rows, cols = np.nonzero(bundle.depths[f] > 0)
-        if len(rows) == 0:
-            continue
-        seen = True
-        depth = bundle.depths[f][rows, cols].astype(np.float64)
-        uv = np.column_stack([cols, rows]).astype(np.float64)
-        pts = unproject_pixels(uv, depth, bundle.cameras[f])
-        mins = np.minimum(mins, pts.min(axis=0))
-        maxs = np.maximum(maxs, pts.max(axis=0))
-    if not seen:
-        return 0.0
-    return float(np.linalg.norm(maxs - mins))
-
-
 def _densities(positions: np.ndarray, r: float) -> np.ndarray:
     """Neighbor count within r (inclusive, excluding self) for each point."""
     n = len(positions)

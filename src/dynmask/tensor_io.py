@@ -5,7 +5,7 @@ Everything on disk goes through two formats:
 * ``.dmt`` tensors -- magic ``DMT1``, u8 ndim, ndim little-endian u32
   extents, then the row-major little-endian float32 payload.  NaN-free by
   contract on both ends.
-* binary PGM (P5) / PPM (P6) for masks and debug images.
+* binary PGM (P5) for masks.
 
 A scene directory is self-describing: a ``scene.json`` manifest names every
 tensor file plus the camera parameters, so a bundle can be diffed, copied,
@@ -93,7 +93,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM
+# PGM
 # ---------------------------------------------------------------------------
 
 def write_pgm(image: np.ndarray, path: str | Path) -> None:
@@ -151,22 +151,6 @@ def read_pgm(path: str | Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=off).reshape(h, w).copy()
 
 
-def write_ppm(image: np.ndarray, path: str | Path) -> None:
-    """Write an (H, W, 3) image as binary PPM.  Float input in [0,1] is scaled."""
-    arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise TensorFormatError("PPM image must have shape (H, W, 3)")
-    if arr.dtype != np.uint8:
-        arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    h, w = arr.shape[:2]
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # scene bundles
 # ---------------------------------------------------------------------------
@@ -204,9 +188,6 @@ class SceneBundle:
     @property
     def heads(self) -> int:
         return self.attention.shape[1]
-
-    def valid_depth(self, frame: int) -> np.ndarray:
-        return self.depths[frame] > 0
 
 
 def validate_bundle(bundle: SceneBundle) -> None:

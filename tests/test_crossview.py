@@ -1,16 +1,89 @@
-"""Cross-view consistency tests: sampling, scoring, visibility, closing."""
+"""Cross-view consistency tests: sampling, scoring, visibility, closing.
+
+`score_cloud` is checked against a scalar oracle kept here: one point, one
+view at a time, with depth, color and confidence each sampled by its own
+`bilinear_sample` call.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dynmask.crossview import (EmptyVisibilityError, ProjectionRecord,
-                               activate_confidence, bilinear_sample,
-                               close_masks, confidence_to_variance,
-                               dynamic_score, gather_projections, mle_loss,
-                               refine_masks, score_cloud)
-from dynmask.geometry import CameraModel
+from dynmask import crossview
+from dynmask.crossview import (activate_confidence, bilinear_sample,
+                               close_masks, refine_masks, score_cloud)
+from dynmask.geometry import CameraModel, project_points
 from dynmask.purification import DynamicPointCloud, unproject_mask
 from dynmask.tensor_io import SceneBundle
+
+
+@dataclass
+class ProjectionRecord:
+    """One point's projection into one view, with everything sampled there."""
+
+    point_id: int
+    view: int
+    pixel: np.ndarray           # (2,) subpixel (u, v) in the target view
+    depth_projected: float      # z of the point in the target camera
+    depth_sampled: float        # bilinear depth map value (0 if none valid)
+    color_projected: np.ndarray  # (3,) color carried from the source view
+    color_sampled: np.ndarray    # (3,) bilinear image value
+    confidence: float
+    visible: bool
+
+
+def gather_projections(position, color, bundle, confidences, point_id=0,
+                       occlusion_tol=crossview.DEFAULT_OCCLUSION_TOL):
+    """Project one point into every view and sample what each view saw there.
+
+    A view sees the point when it lands in frame, in front of the camera,
+    on valid depth, and no more than the relative tolerance behind the
+    sampled depth.
+    """
+    pos = np.asarray(position, dtype=np.float64).reshape(1, 3)
+    col = np.asarray(color, dtype=np.float64).reshape(3)
+    h, w = bundle.height, bundle.width
+    records = []
+    for view, cam in enumerate(bundle.cameras):
+        uv, z = project_points(pos, cam)
+        u, v, z = uv[0, 0], uv[0, 1], float(z[0])
+        depth_s, color_s, conf_s, ok = 0.0, np.zeros(3), 0.0, False
+        if z > 1e-9 and 0 <= u <= w - 1 and 0 <= v <= h - 1:
+            support = bundle.depths[view] > 0
+            d, d_ok = bilinear_sample(bundle.depths[view], support,
+                                      uv[:, 0], uv[:, 1])
+            c, _ = bilinear_sample(bundle.images[view], support,
+                                   uv[:, 0], uv[:, 1])
+            cf, _ = bilinear_sample(confidences[view], support,
+                                    uv[:, 0], uv[:, 1])
+            depth_s, color_s, conf_s, ok = (float(d[0]), c[0], float(cf[0]),
+                                            bool(d_ok[0]))
+        records.append(ProjectionRecord(
+            point_id=point_id, view=view, pixel=uv[0],
+            depth_projected=z, depth_sampled=depth_s,
+            color_projected=col, color_sampled=color_s,
+            confidence=conf_s,
+            visible=ok and z <= depth_s + occlusion_tol * z))
+    return records
+
+
+def dynamic_score(records, lam=crossview.DEFAULT_LAMBDA):
+    """S = sum_i w_i (|depth residual_i| + lam * mean |color residual_i|).
+
+    w_i are the confidences normalized over the visible views.
+    """
+    visible = [r for r in records if r.visible]
+    if not visible:
+        raise ValueError("no visible projection for this point")
+    conf = np.array([r.confidence for r in visible])
+    weights = conf / conf.sum()
+    score = 0.0
+    for wt, rec in zip(weights, visible):
+        r_d = abs(rec.depth_projected - rec.depth_sampled)
+        r_c = float(np.mean(np.abs(rec.color_projected - rec.color_sampled)))
+        score += wt * (r_d + lam * r_c)
+    return float(score)
 
 
 def _record(r_d=0.0, r_c=0.0, conf=2.0, visible=True, d=2.0):
@@ -26,13 +99,11 @@ class TestActivateConfidence:
         assert activate_confidence(np.array([0.0]))[0] == pytest.approx(2.0)
 
     def test_clamp_low(self):
-        # exp(-40) underflows the 1.0 ulp, so C lands exactly on its floor;
-        # the variance mapping's eps guard exists for this case
+        # exp(-40) underflows the 1.0 ulp, so C lands exactly on its floor
         c = activate_confidence(np.array([-40.0, -1000.0]))
         assert c[0] == pytest.approx(1.0 + np.exp(-40.0))
         assert c[1] == c[0]
         assert (c >= 1.0).all()
-        assert np.isfinite(confidence_to_variance(c)).all()
 
     def test_clamp_high_is_finite(self):
         c = activate_confidence(np.array([1000.0]))
@@ -41,17 +112,6 @@ class TestActivateConfidence:
 
     def test_log_three(self):
         assert activate_confidence(np.array([np.log(3.0)]))[0] == pytest.approx(4.0)
-
-
-class TestVarianceMapping:
-    def test_inverse_precision(self):
-        c = np.array([2.0, 11.0])
-        np.testing.assert_allclose(confidence_to_variance(c), [1.0, 0.1],
-                                   rtol=1e-9)
-
-    def test_floor_gives_huge_variance(self):
-        v = confidence_to_variance(np.array([1.0]))
-        assert v[0] > 1e11
 
 
 class TestBilinearSample:
@@ -97,46 +157,6 @@ class TestBilinearSample:
         np.testing.assert_allclose(out[0], [0.0, 2.0, 0.0])
 
 
-class TestMleLoss:
-    def test_zero_residual_unit_variance(self):
-        # sigma^2 = 1 needs C = 2 (logit 0); both terms vanish
-        assert mle_loss([_record(r_d=0.0, conf=2.0)]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_unit_residual_unit_variance(self):
-        assert mle_loss([_record(r_d=1.0, conf=2.0)]) == pytest.approx(0.5, abs=1e-9)
-
-    def test_analytic_minimizer(self):
-        # over sigma^2 the loss r^2/(2 s) + log(s)/2 is minimized at s = r^2;
-        # check against a finite-difference sweep of the confidence
-        r_d = 0.7
-        best_var = r_d ** 2
-        best_conf = 1.0 + 1.0 / best_var  # invert the variance mapping
-        loss_at_min = mle_loss([_record(r_d=r_d, conf=best_conf)])
-        for eps in (1e-5, -1e-5):
-            var = best_var * (1 + eps)
-            conf = 1.0 + 1.0 / var
-            assert mle_loss([_record(r_d=r_d, conf=conf)]) >= loss_at_min - 1e-12
-        # gradient at the minimizer vanishes to first order
-        step = 1e-5
-        up = mle_loss([_record(r_d=r_d, conf=1.0 + 1.0 / (best_var + step))])
-        down = mle_loss([_record(r_d=r_d, conf=1.0 + 1.0 / (best_var - step))])
-        grad = (up - down) / (2 * step)
-        assert abs(grad) < 1e-3
-
-    def test_sums_over_views(self):
-        recs = [_record(r_d=1.0, conf=2.0), _record(r_d=0.0, conf=2.0)]
-        assert mle_loss(recs) == pytest.approx(0.5, abs=1e-9)
-
-    def test_invisible_views_ignored(self):
-        recs = [_record(r_d=1.0, conf=2.0),
-                _record(r_d=100.0, conf=2.0, visible=False)]
-        assert mle_loss(recs) == pytest.approx(0.5, abs=1e-9)
-
-    def test_empty_visibility(self):
-        with pytest.raises(EmptyVisibilityError):
-            mle_loss([_record(visible=False)])
-
-
 class TestDynamicScore:
     def test_perfect_static_point(self):
         recs = [_record(r_d=0.0, r_c=0.0, conf=c) for c in (2.0, 5.0, 50.0)]
@@ -177,7 +197,7 @@ class TestDynamicScore:
         assert dynamic_score(recs) == pytest.approx(0.3, rel=1e-9)
 
     def test_empty_visibility(self):
-        with pytest.raises(EmptyVisibilityError):
+        with pytest.raises(ValueError):
             dynamic_score([_record(visible=False)])
 
 
@@ -207,6 +227,21 @@ def _flat_bundle(frames=3, h=10, w=14, depth=4.0, baseline=0.3, logit=2.0):
         cameras=cams, patch=2)
 
 
+def _views_seeing(bundle, position,
+                  occlusion_tol=crossview.DEFAULT_OCCLUSION_TOL):
+    """Views that see one point: (score_cloud's count, the oracle's count)."""
+    cloud = DynamicPointCloud(
+        positions=np.asarray(position, dtype=np.float64).reshape(1, 3),
+        frame_indices=np.zeros(1, dtype=np.int32),
+        pixels=np.zeros((1, 2), dtype=np.int32),
+        saliencies=np.ones(1), alive=np.ones(1, dtype=bool))
+    conf = activate_confidence(bundle.confidence_logits)
+    _, counts = score_cloud(cloud, bundle, conf, occlusion_tol=occlusion_tol)
+    recs = gather_projections(position, bundle.images[0, 0, 0], bundle, conf,
+                              occlusion_tol=occlusion_tol)
+    return int(counts[0]), sum(r.visible for r in recs)
+
+
 class TestGatherProjections:
     def test_source_view_round_trip(self):
         bundle = _flat_bundle()
@@ -222,47 +257,48 @@ class TestGatherProjections:
         assert abs(rec.depth_projected - rec.depth_sampled) <= 1e-4
 
     def test_point_behind_all_cameras(self):
-        bundle = _flat_bundle()
-        conf = activate_confidence(bundle.confidence_logits)
-        recs = gather_projections(np.array([0.0, 0.0, -5.0]),
-                                  np.zeros(3), bundle, conf)
-        assert not any(r.visible for r in recs)
+        assert _views_seeing(_flat_bundle(), [0.0, 0.0, -5.0]) == (0, 0)
 
     def test_out_of_bounds_invisible(self):
-        bundle = _flat_bundle()
-        conf = activate_confidence(bundle.confidence_logits)
-        recs = gather_projections(np.array([50.0, 0.0, 4.0]),
-                                  np.zeros(3), bundle, conf)
-        assert not any(r.visible for r in recs)
+        assert _views_seeing(_flat_bundle(), [50.0, 0.0, 4.0]) == (0, 0)
 
     def test_occlusion_flags_invisible(self):
         # a point 1 m behind the rendered plane projects onto pixels whose
         # depth map says 4.0; 5.0 > 4.0 * (1 + tol) so every view drops it
-        bundle = _flat_bundle()
-        conf = activate_confidence(bundle.confidence_logits)
-        recs = gather_projections(np.array([0.0, 0.0, 5.0]),
-                                  np.zeros(3), bundle, conf)
-        assert not any(r.visible for r in recs)
+        assert _views_seeing(_flat_bundle(), [0.0, 0.0, 5.0]) == (0, 0)
 
     def test_occlusion_tolerance_inclusive(self):
+        # with tol 0.5, z = 8 sits exactly on 4.0 + 0.5 * z in floating
+        # point; the next double above it is occluded in every view
         bundle = _flat_bundle()
-        conf = activate_confidence(bundle.confidence_logits)
-        # 4.2 == 4.0 + 0.05 * 4.2 exactly at the default tolerance boundary
-        pos = np.array([0.0, 0.0, 4.2 / 1.05 * 1.05])
-        recs = gather_projections(np.array([0.0, 0.0, 4.2]), np.zeros(3),
-                                  bundle, conf)
-        assert recs[0].visible
+        assert _views_seeing(bundle, [0.0, 0.0, 8.0], 0.5) == (3, 3)
+        assert _views_seeing(bundle, [0.0, 0.0, np.nextafter(8.0, 9.0)],
+                             0.5) == (0, 0)
 
     def test_invalid_depth_region_invisible(self):
+        # tol 1 lets any point pass the occlusion test, even against a
+        # sampled depth of 0, so only the missing support can hide it
         bundle = _flat_bundle(frames=1)
+        assert _views_seeing(bundle, [0.0, 0.0, 4.0], 1.0) == (1, 1)
         bundle.depths[0, :, :] = 0.0
-        conf = activate_confidence(bundle.confidence_logits)
-        recs = gather_projections(np.array([0.0, 0.0, 4.0]), np.zeros(3),
-                                  bundle, conf)
-        assert not recs[0].visible
+        assert _views_seeing(bundle, [0.0, 0.0, 4.0], 1.0) == (0, 0)
 
 
 class TestScoreCloud:
+    def test_one_sampling_call_per_view(self, monkeypatch):
+        bundle = _flat_bundle()
+        conf = activate_confidence(bundle.confidence_logits)
+        cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
+        calls = []
+
+        def counting_sample(*args):
+            calls.append(args[0].shape)
+            return bilinear_sample(*args)
+
+        monkeypatch.setattr(crossview, "bilinear_sample", counting_sample)
+        score_cloud(cloud, bundle, conf)
+        assert calls == [(10, 14, 5)] * bundle.frames
+
     def test_matches_scalar_path(self):
         gen = np.random.default_rng(42)
         bundle = _flat_bundle()

@@ -56,7 +56,6 @@ class TestConfig:
         ("theta_saliency", -0.1), ("theta_saliency", 1.5),
         ("r_factor", -0.01), ("tau", -1), ("lam", -0.2),
         ("theta_dyn", -0.5), ("occlusion_tolerance", -1.0),
-        ("boundary_tol_frac", 0.0),
     ])
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError):

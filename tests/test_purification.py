@@ -5,9 +5,8 @@ import pytest
 
 from dynmask.geometry import CameraModel, project_points
 from dynmask.purification import (DynamicPointCloud, SpatialIndex, build_index,
-                                  full_scene_diagonal, mask_from_cloud, purify,
-                                  radius_neighbors, scene_diagonal,
-                                  unproject_mask, write_ply)
+                                  mask_from_cloud, purify, radius_neighbors,
+                                  scene_diagonal, unproject_mask, write_ply)
 from dynmask.tensor_io import SceneBundle
 
 
@@ -279,20 +278,6 @@ class TestUnprojectAndRasterize:
         out = mask_from_cloud(cloud, bundle)
         assert out.sum() == 1
         assert out[2, 10 % bundle.height, 20 % bundle.width]
-
-
-class TestFullSceneDiagonal:
-    def test_larger_than_dynamic_cloud(self):
-        bundle = _bundle(frames=1, depth_value=3.0)
-        masks = np.zeros((1, bundle.height, bundle.width), bool)
-        masks[0, 3, 3:5] = True
-        cloud = unproject_mask(bundle, masks)
-        assert full_scene_diagonal(bundle) > scene_diagonal(cloud)
-
-    def test_no_valid_depth(self):
-        bundle = _bundle(frames=1)
-        bundle.depths[:] = 0.0
-        assert full_scene_diagonal(bundle) == 0.0
 
 
 def test_write_ply(tmp_path):

@@ -7,8 +7,7 @@ from dynmask import tensor_io
 from dynmask.geometry import CameraModel
 from dynmask.tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
                                load_scene, read_pgm, read_tensor, save_scene,
-                               validate_bundle, write_pgm, write_ppm,
-                               write_tensor)
+                               validate_bundle, write_pgm, write_tensor)
 
 
 class TestTensorRoundTrip:
@@ -122,15 +121,6 @@ class TestPnm:
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\xff\xff\x00")
         np.testing.assert_array_equal(read_pgm(p),
                                       [[0, 255], [255, 0]])
-
-    def test_ppm_write(self, tmp_path):
-        img = np.zeros((2, 2, 3), dtype=np.float32)
-        img[0, 0] = [1.0, 0.5, 0.0]
-        p = tmp_path / "i.ppm"
-        write_ppm(img, p)
-        raw = p.read_bytes()
-        assert raw.startswith(b"P6\n2 2\n255\n")
-        assert raw[11:14] == bytes([255, 128, 0])
 
 
 def _tiny_bundle(frames=2, h=8, w=12, heads=3, patch=4, seed=0):
