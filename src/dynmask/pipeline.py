@@ -15,6 +15,8 @@ toggle then restores one mechanism, so ablations compose cumulatively.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -41,6 +43,22 @@ class PipelineConfig:
     enable_uncertainty: bool = True
 
     def __post_init__(self) -> None:
+        # types first, so the range checks below compare finite numbers
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                ok, kind = isinstance(value, bool), "true or false"
+            elif f.type == "int":
+                ok = (isinstance(value, numbers.Integral)
+                      and not isinstance(value, bool))
+                kind = "an integer"
+            else:
+                ok = (isinstance(value, numbers.Real)
+                      and not isinstance(value, bool)
+                      and math.isfinite(value))
+                kind = "a finite number"
+            if not ok:
+                raise ValueError(f"{f.name} {value!r} must be {kind}")
         if self.eps <= 0:
             raise ValueError(f"eps {self.eps} must be > 0")
         if not 0.0 <= self.theta_saliency <= 1.0:
@@ -64,9 +82,10 @@ class PipelineConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged = {name: raw[name] for name in raw}
-        if "tau" in merged:
-            merged["tau"] = int(merged["tau"])
+        merged = dict(raw)
+        tau = merged.get("tau")
+        if isinstance(tau, float) and tau.is_integer():
+            merged["tau"] = int(tau)  # JSON writers may emit 16 as 16.0
         return cls(**merged)
 
     @classmethod

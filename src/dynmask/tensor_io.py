@@ -4,7 +4,8 @@ Everything on disk goes through two formats:
 
 * ``.dmt`` tensors -- magic ``DMT1``, u8 ndim, ndim little-endian u32
   extents, then the row-major little-endian float32 payload.  NaN-free by
-  contract on both ends.
+  contract on both ends; infinities round-trip, but a scene bundle built
+  from them fails :func:`validate_bundle`.
 * binary PGM (P5) for masks.
 
 A scene directory is self-describing: a ``scene.json`` manifest names every
@@ -209,11 +210,20 @@ def validate_bundle(bundle: SceneBundle) -> None:
             f"attention grid {(hp, wp)} x patch {bundle.patch} != image dims {(h, w)}")
     if len(bundle.cameras) != t:
         raise SceneFormatError(f"{len(bundle.cameras)} cameras for {t} frames")
+    # the container admits infinities; a scene does not (one infinite depth
+    # makes the purification radius infinite)
     for arr, name in ((bundle.images, "images"), (bundle.depths, "depths"),
                       (bundle.confidence_logits, "confidences"),
                       (bundle.attention, "attentions")):
-        if np.isnan(arr).any():
-            raise SceneFormatError(f"NaN in {name}")
+        if not np.isfinite(arr).all():
+            raise SceneFormatError(f"non-finite value (NaN or inf) in {name}")
+    for cams, name in ((bundle.cameras, "camera"),
+                       (bundle.gt_cameras or [], "gt camera")):
+        for f, cam in enumerate(cams):
+            params = np.concatenate([[cam.fx, cam.fy, cam.cx, cam.cy],
+                                     cam.R.ravel(), cam.t])
+            if not np.isfinite(params).all():
+                raise SceneFormatError(f"non-finite {name} {f} parameters")
     if (bundle.depths < 0).any():
         raise SceneFormatError("negative depth value")
     if bundle.images.min() < 0 or bundle.images.max() > 1:

@@ -15,7 +15,7 @@ import pytest
 from dynmask import evaluation
 from dynmask.cli import main
 from dynmask.pipeline import PipelineConfig, run
-from dynmask.tensor_io import load_scene, read_pgm
+from dynmask.tensor_io import load_scene, read_pgm, read_tensor, write_tensor
 
 SPEC = {
     "seed": 9,
@@ -194,6 +194,33 @@ class TestMask:
         assert main(["mask", str(scene_dir), "--out",
                      str(tmp_path / "out"), "--config", str(cfg_path)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        {"enable_purification": "false"}, {"tau": 16.9}, {"tau": True},
+        {"r_factor": "0.02"}, {"theta_dyn": float("nan")},
+        {"occlusion_tolerance": float("inf")},
+    ])
+    def test_mistyped_config_value(self, tmp_path, scene_dir, capsys, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["mask", str(scene_dir), "--out", str(out),
+                     "--config", str(cfg_path)]) == 2
+        assert next(iter(raw)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_depth_rejected(self, tmp_path, scene_dir, capsys):
+        # one inf depth pixel used to make the purification radius
+        # infinite and empty every mask with exit 0
+        bad = tmp_path / "bad"
+        shutil.copytree(scene_dir, bad)
+        depth = read_tensor(bad / "depth_0000.dmt")
+        depth[0, 0] = np.inf
+        write_tensor(depth, bad / "depth_0000.dmt")
+        out = tmp_path / "out"
+        assert main(["mask", str(bad), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scene(self, tmp_path, capsys):
         assert main(["mask", str(tmp_path / "nope"),

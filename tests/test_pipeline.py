@@ -61,6 +61,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_enable_flags_must_be_bool(self, value):
+        # "false" is truthy: a string flag used to leave the mechanism on
+        for name in ("enable_attention_weighting", "enable_purification",
+                     "enable_uncertainty"):
+            with pytest.raises(ValueError, match=name):
+                PipelineConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("value", [16.9, True, False, "16", None])
+    def test_tau_must_be_integer(self, value):
+        with pytest.raises(ValueError, match="tau"):
+            PipelineConfig.from_dict({"tau": value})
+
+    @pytest.mark.parametrize("field", ["eps", "theta_saliency", "r_factor",
+                                       "lam", "theta_dyn",
+                                       "occlusion_tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), "0.5", True, None])
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig.from_dict({field: value})
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"theta_dyn": 0.25,

@@ -1,12 +1,15 @@
 """Point-cloud purification tests with a brute-force neighborhood oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dynmask.geometry import CameraModel, project_points
-from dynmask.purification import (DynamicPointCloud, SpatialIndex, build_index,
-                                  mask_from_cloud, purify, radius_neighbors,
-                                  scene_diagonal, unproject_mask, write_ply)
+from dynmask.purification import (DynamicPointCloud, _outright_alive,
+                                  build_index, mask_from_cloud, purify,
+                                  radius_neighbors, scene_diagonal,
+                                  unproject_mask, write_ply)
 from dynmask.tensor_io import SceneBundle
 
 
@@ -86,7 +89,7 @@ class TestRadiusNeighbors:
             radius_neighbors(cloud, idx, 0, 0.0)
 
     def test_negative_coordinates(self):
-        # voxel keys must floor, not truncate toward zero
+        # a pair straddling the origin still counts
         cloud = _cloud([[-0.05, -0.05, -0.05], [0.05, 0.05, 0.05]])
         idx = build_index(cloud, r=0.2)
         assert radius_neighbors(cloud, idx, 0, 0.2) == 1
@@ -205,6 +208,63 @@ class TestPurify:
         cloud = _cloud([[0, 0, 0], [50, 0, 0]])
         purify(cloud, tau=5)
         assert cloud.alive.all()
+
+    @pytest.mark.parametrize("tau", [1, 16, 40])
+    def test_clusters_and_noise_match_brute_force(self, tau):
+        # tight clusters fill whole grid cells (kept outright); the sparse
+        # noise and the cluster fringes go through the k-d tree counts
+        gen = np.random.default_rng(12)
+        centers = gen.uniform(0, 10, (12, 3))
+        sizes = gen.integers(100, 400, len(centers))
+        clusters = [c + gen.normal(0, 0.08, (n, 3))
+                    for c, n in zip(centers, sizes)]
+        noise = gen.uniform(-1, 11, (600, 3))
+        pts = np.vstack(clusters + [noise])
+        assert len(pts) >= 3000
+        cloud = _cloud(pts)
+        r = 0.02 * scene_diagonal(cloud)
+        out = purify(cloud, tau=tau)
+        np.testing.assert_array_equal(out.alive, _brute_counts(pts, r) >= tau)
+        outright = _outright_alive(pts, r, tau)
+        assert outright.any() and not outright.all()
+
+    def test_exact_radius_pair_on_tree_path(self):
+        # the pair sits in different cells, so only the k-d tree sees it
+        pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [40.0, 40, 40]])
+        r = 0.5
+        assert not _outright_alive(pts, r, 1).any()
+        out = purify(_cloud(pts), tau=1, radius=r)
+        np.testing.assert_array_equal(out.alive, [True, True, False])
+        shy = purify(_cloud(pts), tau=1, radius=np.nextafter(r, 0))
+        assert not shy.alive.any()
+
+    def test_dense_ball_memory_bounded(self):
+        # 60k points inside a ball of radius 1e-3 r: a pair scan would need
+        # a 60k x 60k x 3 float64 temporary (~86 GB)
+        gen = np.random.default_rng(13)
+        r = 1.0
+        dirs = gen.normal(size=(60_000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = 1e-3 * r * gen.random(60_000) ** (1 / 3)
+        pts = dirs * radii[:, None] + [5.0, 5.0, 5.0]
+        cloud = _cloud(pts)
+        tracemalloc.start()
+        try:
+            out = purify(cloud, tau=16, radius=r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.alive.all()
+        assert peak < 64 * 2 ** 20
+
+    def test_non_finite_radius_rejected(self):
+        cloud = _cloud([[0, 0, 0], [1, 0, 0]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                purify(cloud, tau=1, radius=bad)
+        # an infinite coordinate makes the adaptive radius infinite
+        with pytest.raises(ValueError, match="finite"):
+            purify(_cloud([[0, 0, 0], [np.inf, 0, 0]]), tau=1)
 
     def test_dead_points_stay_dead_and_ignored(self):
         pts = [[0, 0, 0], [0.001, 0, 0], [0.002, 0, 0], [8, 8, 8]]

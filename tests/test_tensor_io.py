@@ -189,6 +189,41 @@ class TestSceneBundle:
         with pytest.raises(SceneFormatError, match="camera"):
             validate_bundle(bundle)
 
+    @pytest.mark.parametrize("name", ["images", "depths", "confidence_logits",
+                                      "attention"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_tensor_rejected(self, name, value):
+        bundle = _tiny_bundle()
+        getattr(bundle, name)[(0,) * getattr(bundle, name).ndim] = value
+        with pytest.raises(SceneFormatError, match="non-finite"):
+            validate_bundle(bundle)
+
+    @pytest.mark.parametrize("which", ["cameras", "gt_cameras"])
+    @pytest.mark.parametrize("params", [
+        {"fx": np.inf}, {"cy": np.nan}, {"t": np.array([0.0, np.inf, 0.0])},
+        {"R": np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, np.nan]])},
+    ])
+    def test_non_finite_camera_rejected(self, which, params):
+        bundle = _tiny_bundle()
+        cams = list(getattr(bundle, which))
+        base = dict(fx=cams[1].fx, fy=cams[1].fy, cx=cams[1].cx,
+                    cy=cams[1].cy, R=cams[1].R, t=cams[1].t)
+        with np.errstate(invalid="ignore"):  # det of a NaN rotation
+            cams[1] = CameraModel(**{**base, **params})
+        setattr(bundle, which, cams)
+        with pytest.raises(SceneFormatError, match="non-finite"):
+            validate_bundle(bundle)
+
+    def test_load_rejects_infinite_depth(self, tmp_path):
+        # the container round-trips inf, the scene loader refuses it
+        bundle = _tiny_bundle()
+        save_scene(bundle, tmp_path / "scene")
+        depth = read_tensor(tmp_path / "scene" / "depth_0000.dmt")
+        depth[2, 3] = np.inf
+        write_tensor(depth, tmp_path / "scene" / "depth_0000.dmt")
+        with pytest.raises(SceneFormatError, match="non-finite.*depths"):
+            load_scene(tmp_path / "scene")
+
     def test_load_rejects_bad_rotation(self, tmp_path):
         bundle = _tiny_bundle()
         save_scene(bundle, tmp_path / "scene")
