@@ -20,9 +20,8 @@ from .evaluation import MetricReport
 from .geometry import epipolar_residual_batch, essential_from_poses, \
     project_dynamic_world_batch
 from .pipeline import PipelineConfig, run
-from .tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
-                        load_scene, read_pgm, write_json, write_pgm,
-                        write_tensor)
+from .tensor_io import (SceneBundle, SceneFormatError, load_scene, read_pgm,
+                        write_json, write_pgm, write_tensor)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -274,10 +273,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (TensorFormatError, SceneFormatError, json.JSONDecodeError,
-            FileNotFoundError, NotADirectoryError, IsADirectoryError,
-            PermissionError, ValueError, OSError) as exc:
-        print(f"dynmask {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        message = str(exc) or type(exc).__name__  # a bare MemoryError is blank
+        print(f"dynmask {args.command}: error: {message}", file=sys.stderr)
         return EXIT_DATA
 
 

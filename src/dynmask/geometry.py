@@ -1,4 +1,4 @@
-"""Pinhole cameras, relative poses, and epipolar residuals.
+"""Pinhole cameras, two-view warps, and epipolar residuals.
 
 Conventions used throughout the package:
 
@@ -32,6 +32,9 @@ def _as_rotation(R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         raise ValueError(f"rotation shape {R.shape}, wanted (3, 3)")
+    if not np.isfinite(R).all():
+        # NaN fails no comparison, so the checks below would let it through
+        raise ValueError("rotation has non-finite entries")
     err = np.abs(R.T @ R - np.eye(3)).max()
     if err > ORTHO_TOL:
         raise ValueError(f"rotation not orthonormal, max |R^T R - I| = {err:.3e}")
@@ -88,30 +91,6 @@ class CameraModel:
 
 
 @dataclass(frozen=True)
-class RelativePose:
-    """Pose of a target camera relative to a reference camera."""
-
-    R: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "R", _as_rotation(self.R))
-        t = np.asarray(self.t, dtype=np.float64).reshape(3).copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
-
-    @classmethod
-    def from_cameras(cls, ref: CameraModel, tgt: CameraModel) -> "RelativePose":
-        R_rel = tgt.R @ ref.R.T
-        t_rel = tgt.t - R_rel @ ref.t
-        return cls(R=R_rel, t=t_rel)
-
-    @property
-    def baseline(self) -> float:
-        return float(np.linalg.norm(self.t))
-
-
-@dataclass(frozen=True)
 class EssentialMatrix:
     """Essential matrix of a camera pair, optionally baseline-normalized."""
 
@@ -143,26 +122,36 @@ def essential_from_poses(ref: CameraModel, tgt: CameraModel,
     which makes epipolar residuals comparable across pairs with different
     baselines.  Raises DegenerateBaselineError for a (near-)zero baseline.
     """
-    rel = RelativePose.from_cameras(ref, tgt)
-    if rel.baseline <= MIN_BASELINE:
+    R_rel = tgt.R @ ref.R.T
+    t_rel = tgt.t - R_rel @ ref.t
+    baseline = float(np.linalg.norm(t_rel))
+    if baseline <= MIN_BASELINE:
         raise DegenerateBaselineError(
-            f"baseline {rel.baseline:.3e} below {MIN_BASELINE:.0e}")
-    t = rel.t / rel.baseline if unit_baseline else rel.t
-    return EssentialMatrix(matrix=skew(t) @ rel.R, unit_baseline=unit_baseline)
+            f"baseline {baseline:.3e} below {MIN_BASELINE:.0e}")
+    t = t_rel / baseline if unit_baseline else t_rel
+    return EssentialMatrix(matrix=skew(t) @ R_rel, unit_baseline=unit_baseline)
 
 
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
 
+def pixel_rays(pixels: np.ndarray, cam: CameraModel) -> np.ndarray:
+    """Camera-frame rays K^-1 (u, v, 1) of pixels (N, 2), as (N, 3) with z = 1.
+
+    Scaling a ray by a depth gives the camera-frame point; the same rays are
+    the normalized image coordinates of the epipolar constraint.
+    """
+    uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    homo = np.column_stack([uv, np.ones(len(uv))])
+    return homo @ cam.K_inv.T
+
+
 def unproject_pixels(pixels: np.ndarray, depths: np.ndarray,
                      cam: CameraModel) -> np.ndarray:
     """Lift pixels (N, 2) as (u, v) with depths (N,) to world points (N, 3)."""
-    uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     d = np.asarray(depths, dtype=np.float64).reshape(-1)
-    homo = np.column_stack([uv, np.ones(len(uv))])
-    rays = homo @ cam.K_inv.T
-    return cam.camera_to_world(rays * d[:, None])
+    return cam.camera_to_world(pixel_rays(pixels, cam) * d[:, None])
 
 
 def project_points(points: np.ndarray,
@@ -180,61 +169,31 @@ def project_points(points: np.ndarray,
     return proj[:, :2] / safe[:, None], z
 
 
-def _project_relative(pixels: np.ndarray, depths: np.ndarray,
-                      ref: CameraModel, tgt: CameraModel,
-                      motions: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Core two-view warp K [R_rel (depth K^-1 x) + t_rel + M], (uv, z).
-
-    `motions`, if given, is per-point displacement expressed in the target
-    camera's coordinate frame.
-    """
-    rel = RelativePose.from_cameras(ref, tgt)
-    uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    d = np.asarray(depths, dtype=np.float64).reshape(-1)
-    homo = np.column_stack([uv, np.ones(len(uv))])
-    cam_pts = (homo @ ref.K_inv.T) * d[:, None] @ rel.R.T + rel.t
-    if motions is not None:
-        cam_pts = cam_pts + np.asarray(motions, dtype=np.float64).reshape(-1, 3)
-    proj = cam_pts @ tgt.K.T
-    z = proj[:, 2]
-    safe = np.where(np.abs(z) > MIN_DEPTH, z, MIN_DEPTH)
-    return proj[:, :2] / safe[:, None], z
-
-
 def project_rigid_batch(pixels: np.ndarray, depths: np.ndarray,
                         ref: CameraModel, tgt: CameraModel
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Warp reference pixels into the target view assuming a static world."""
-    return _project_relative(pixels, depths, ref, tgt)
-
-
-def project_dynamic_batch(pixels: np.ndarray, depths: np.ndarray,
-                          ref: CameraModel, tgt: CameraModel,
-                          motions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid warp plus per-point motion given in the target camera frame."""
-    return _project_relative(pixels, depths, ref, tgt, motions)
+    return project_points(unproject_pixels(pixels, depths, ref), tgt)
 
 
 def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,
                                 ref: CameraModel, tgt: CameraModel,
                                 displacements: np.ndarray
                                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dynamic warp with displacements given in the world frame.
-
-    A world displacement dX appears in the target camera as R_tgt dX.
-    """
+    """Warp reference pixels whose points move by world displacements."""
     disp = np.asarray(displacements, dtype=np.float64).reshape(-1, 3)
-    return _project_relative(pixels, depths, ref, tgt, disp @ tgt.R.T)
+    return project_points(unproject_pixels(pixels, depths, ref) + disp, tgt)
 
 
-def project_rigid(pixel: np.ndarray, depth: float, ref: CameraModel,
-                  tgt: CameraModel) -> tuple[np.ndarray, float]:
-    """Single-pixel rigid warp; raises BehindCameraError if z_t <= 0."""
-    uv, z = project_rigid_batch(np.asarray(pixel).reshape(1, 2), [depth], ref, tgt)
-    if z[0] <= MIN_DEPTH:
-        raise BehindCameraError(f"target depth {z[0]:.3e}")
-    return uv[0], float(z[0])
+def project_dynamic_batch(pixels: np.ndarray, depths: np.ndarray,
+                          ref: CameraModel, tgt: CameraModel,
+                          motions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rigid warp plus per-point motion given in the target camera frame.
+
+    A target-frame motion M is the world displacement R_tgt^T M.
+    """
+    m = np.asarray(motions, dtype=np.float64).reshape(-1, 3)
+    return project_dynamic_world_batch(pixels, depths, ref, tgt, m @ tgt.R)
 
 
 def project_dynamic(pixel: np.ndarray, depth: float, ref: CameraModel,
@@ -242,7 +201,6 @@ def project_dynamic(pixel: np.ndarray, depth: float, ref: CameraModel,
                     ) -> tuple[np.ndarray, float]:
     """Single-pixel dynamic warp, motion in the target camera frame.
 
-    Zero motion reproduces project_rigid exactly (same code path).
     Raises BehindCameraError if z_t <= 0.
     """
     uv, z = project_dynamic_batch(
@@ -253,30 +211,28 @@ def project_dynamic(pixel: np.ndarray, depth: float, ref: CameraModel,
     return uv[0], float(z[0])
 
 
+def project_rigid(pixel: np.ndarray, depth: float, ref: CameraModel,
+                  tgt: CameraModel) -> tuple[np.ndarray, float]:
+    """Single-pixel rigid warp: project_dynamic with zero motion."""
+    return project_dynamic(pixel, depth, ref, tgt, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # epipolar residuals
 # ---------------------------------------------------------------------------
 
-def _normalized(pixels: np.ndarray, intrinsics) -> np.ndarray:
-    """Homogeneous pixels through K^-1: (N, 3) normalized image coordinates."""
-    K_inv = intrinsics.K_inv if isinstance(intrinsics, CameraModel) \
-        else np.linalg.inv(np.asarray(intrinsics, dtype=np.float64))
-    uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    homo = np.column_stack([uv, np.ones(len(uv))])
-    return homo @ K_inv.T
-
-
 def epipolar_residual_batch(pixels_ref: np.ndarray, pixels_tgt: np.ndarray,
                             essential: EssentialMatrix,
-                            intrinsics) -> np.ndarray:
+                            intrinsics: CameraModel) -> np.ndarray:
     """Signed epipolar residual x_t^T E x_r in normalized coordinates, (N,)."""
-    xr = _normalized(pixels_ref, intrinsics)
-    xt = _normalized(pixels_tgt, intrinsics)
+    xr = pixel_rays(pixels_ref, intrinsics)
+    xt = pixel_rays(pixels_tgt, intrinsics)
     return np.einsum("ni,ij,nj->n", xt, essential.matrix, xr)
 
 
 def epipolar_residual(pixel_ref: np.ndarray, pixel_tgt: np.ndarray,
-                      essential: EssentialMatrix, intrinsics) -> float:
+                      essential: EssentialMatrix,
+                      intrinsics: CameraModel) -> float:
     """Signed epipolar residual of one correspondence.
 
     Zero (to numerical precision) exactly when the two pixels see the same
@@ -301,7 +257,7 @@ def residual_first_order(pixel_ref: np.ndarray, depth: float,
     degrades near the epipole where ||E x_r|| collapses.
     """
     ess = essential_from_poses(ref, tgt, unit_baseline=True)
-    x_hat = _normalized(np.asarray(pixel_ref).reshape(1, 2), ref)[0]
+    x_hat = pixel_rays(pixel_ref, ref)[0]
     line = ess.matrix @ x_hat
     norm = np.linalg.norm(line)
     if norm <= 1e-15:

@@ -123,7 +123,6 @@ def run(bundle: SceneBundle, config: PipelineConfig | None = None
     saliency = np.zeros((t, hp, wp))
     head_weights = np.zeros((t, heads))
     initial = np.zeros((t, bundle.height, bundle.width), dtype=bool)
-    pixel_saliency = np.zeros((t, bundle.height, bundle.width))
     for f in range(t):
         maps = bundle.attention[f].astype(np.float64)
         fused = attention.aggregate(maps, eps=cfg.eps,
@@ -132,13 +131,10 @@ def run(bundle: SceneBundle, config: PipelineConfig | None = None
         head_weights[f] = fused.head_weights
         initial[f] = attention.binarize(fused, cfg.theta_saliency,
                                         patch=bundle.patch)
-        pixel_saliency[f] = np.repeat(np.repeat(fused.values, bundle.patch,
-                                                axis=0),
-                                      bundle.patch, axis=1)
     timings["saliency"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cloud = purification.unproject_mask(bundle, initial, pixel_saliency)
+    cloud = purification.unproject_mask(bundle, initial, saliency)
     counts = {
         "initial_mask_pixels": int(initial.sum()),
         "initial_points": len(cloud),

@@ -14,14 +14,13 @@ Memory stays linear in the number of points.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import unproject_pixels
-from .tensor_io import SceneBundle
+from .tensor_io import SceneBundle, write_atomic
 
 DEFAULT_TAU = 16
 DEFAULT_R_FACTOR = 0.02
@@ -76,22 +75,28 @@ def build_index(cloud: DynamicPointCloud, r: float) -> cKDTree:
 
 
 def radius_neighbors(cloud: DynamicPointCloud, index: cKDTree,
-                     i: int, r: float) -> int:
-    """Number of alive points j != i with ||p_i - p_j|| <= r (inclusive)."""
+                     i: int | np.ndarray, r: float) -> int | np.ndarray:
+    """Number of alive points j != i with ||p_i - p_j|| <= r (inclusive).
+
+    `i` is a point index (giving an int) or an index array (giving an
+    array of counts).  Counting never builds neighbor lists: O(N) memory.
+    """
     if r <= 0:
         raise ValueError(f"radius {r} must be positive")
     found = index.query_ball_point(cloud.positions[i], r, return_length=True)
     # an alive point is in the tree and always finds itself
-    return int(found) - int(cloud.alive[i])
+    counts = found - np.asarray(cloud.alive[i], dtype=np.int64)
+    return int(counts) if np.ndim(i) == 0 else counts
 
 
 def unproject_mask(bundle: SceneBundle, masks: np.ndarray,
                    saliencies: np.ndarray | None = None) -> DynamicPointCloud:
     """Lift every masked pixel with valid depth into a world-space point.
 
-    `masks` is (T, H, W) boolean; `saliencies`, if given, is a matching
-    float array whose values are carried onto the points (default 1.0).
-    Pixels with depth 0 are silently skipped.
+    `masks` is (T, H, W) boolean; `saliencies`, if given, is the
+    (T, H/patch, W/patch) patch-grid saliency, and each point carries the
+    value of its pixel's patch (default 1.0).  Pixels with depth 0 are
+    silently skipped.
     """
     masks = np.asarray(masks, dtype=bool)
     positions, frames, pixels, sal = [], [], [], []
@@ -106,7 +111,9 @@ def unproject_mask(bundle: SceneBundle, masks: np.ndarray,
         frames.append(np.full(len(rows), f, dtype=np.int32))
         pixels.append(np.column_stack([rows, cols]).astype(np.int32))
         if saliencies is not None:
-            sal.append(np.asarray(saliencies[f][rows, cols], dtype=np.float64))
+            sal.append(np.asarray(
+                saliencies[f][rows // bundle.patch, cols // bundle.patch],
+                dtype=np.float64))
         else:
             sal.append(np.ones(len(rows)))
     if not positions:
@@ -179,10 +186,8 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
     keep = _outright_alive(positions, r, tau)
     rest = np.flatnonzero(~keep)
     if len(rest):
-        # return_length counts without building neighbor lists: O(N) memory
-        found = cKDTree(positions).query_ball_point(
-            positions[rest], r, return_length=True)
-        keep[rest] = found - 1 >= tau
+        keep[rest] = radius_neighbors(out, build_index(out, r),
+                                      alive_ids[rest], r) >= tau
     out.alive[alive_ids] = keep
     return out
 
@@ -213,11 +218,7 @@ def write_ply(cloud: DynamicPointCloud, path) -> None:
         x, y, z = cloud.positions[i]
         lines.append(f"{x:.9g} {y:.9g} {z:.9g} "
                      f"{cloud.saliencies[i]:.9g} {int(cloud.alive[i])}")
-    path = str(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,21 +228,20 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raises ValueError.
     """
     with open(path, "r", encoding="ascii") as f:
-        lines = [line.rstrip("\n") for line in f]
-    if len(lines) < 10 or lines[0] != "ply" or lines[1] != "format ascii 1.0":
-        raise ValueError(f"{path}: not an ASCII PLY cloud")
-    if not lines[2].startswith("element vertex "):
-        raise ValueError(f"{path}: missing vertex element")
-    count = int(lines[2].split()[-1])
-    if lines[8] != "end_header":
-        raise ValueError(f"{path}: unexpected header layout")
-    body = lines[9:9 + count]
-    if len(body) != count:
+        header = [f.readline().rstrip("\n") for _ in range(9)]
+        if header[0] != "ply" or header[1] != "format ascii 1.0":
+            raise ValueError(f"{path}: not an ASCII PLY cloud")
+        if not header[2].startswith("element vertex "):
+            raise ValueError(f"{path}: missing vertex element")
+        count = int(header[2].split()[-1])
+        if header[8] != "end_header":
+            raise ValueError(f"{path}: unexpected header layout")
+        if count == 0:
+            return (np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=bool))
+        data = np.loadtxt(f, ndmin=2, max_rows=count, comments=None)
+    if len(data) != count:
         raise ValueError(f"{path}: expected {count} vertices, "
-                         f"found {len(body)}")
-    if count == 0:
-        return (np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=bool))
-    data = np.array([[float(v) for v in line.split()] for line in body])
+                         f"found {len(data)}")
     if data.shape[1] != 5:
         raise ValueError(f"{path}: expected 5 properties per vertex")
     return data[:, :3], data[:, 3], data[:, 4] > 0.5

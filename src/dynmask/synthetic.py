@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import rng
-from .geometry import CameraModel
+from .geometry import CameraModel, pixel_rays
 from .tensor_io import (SceneBundle, read_tensor, save_scene, write_json,
                         write_tensor)
 
@@ -176,17 +176,14 @@ class GroundTruth:
 # ray casting
 # ---------------------------------------------------------------------------
 
-def _ray_directions(cam: CameraModel, width: int, height: int) -> np.ndarray:
+def _ray_directions(pixels: np.ndarray, cam: CameraModel) -> np.ndarray:
     """World-frame ray direction per pixel, scaled so s equals camera depth.
 
     Directions are K^-1 (u, v, 1) rotated into the world; their camera-z
     component is exactly 1, so the ray parameter of any hit is the
     camera-frame depth with no renormalization.
     """
-    us, vs = np.meshgrid(np.arange(width), np.arange(height))
-    homo = np.stack([us.ravel(), vs.ravel(), np.ones(us.size)], axis=1)
-    dirs_cam = homo @ cam.K_inv.T
-    return dirs_cam @ cam.R  # row-vector form of R^T @ d
+    return pixel_rays(pixels, cam) @ cam.R  # row-vector form of R^T @ d
 
 
 def _intersect_plane_z(origin, dirs, z_value):
@@ -295,9 +292,7 @@ def cast_depth(spec: SceneSpec, cam: CameraModel, frame: int,
     Useful as an oracle: the cast is closed form, so the depth along any
     ray is exact, not a resampling of the rendered grid.
     """
-    pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    homo = np.column_stack([pix, np.ones(len(pix))])
-    dirs = (homo @ cam.K_inv.T) @ cam.R
+    dirs = _ray_directions(pixels, cam)
     depth, instance, _, _ = _cast_rays(spec, cam.center, dirs, frame)
     return depth, instance
 
@@ -306,7 +301,8 @@ def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (depth (H,W), color (H,W,3), instance (H,W) with -1 = static)."""
     h, w = spec.height, spec.width
-    dirs = _ray_directions(cam, w, h)
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    dirs = _ray_directions(np.column_stack([us.ravel(), vs.ravel()]), cam)
     depth, instance, surface, points = _cast_rays(spec, cam.center, dirs,
                                                   frame)
     color = np.zeros((dirs.shape[0], 3))

@@ -36,6 +36,21 @@ class SceneFormatError(ValueError):
     """Scene directory that fails manifest or cross-tensor validation."""
 
 
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write `chunks` to `path` through a per-process temporary file.
+
+    Readers see either the old file or the complete new one, never a
+    partial write, and writers in different processes never share a
+    temporary.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+    os.replace(tmp, path)
+
+
 # ---------------------------------------------------------------------------
 # dmt tensor container
 # ---------------------------------------------------------------------------
@@ -56,14 +71,7 @@ def write_tensor(tensor: np.ndarray, path: str | Path) -> None:
 
     header = MAGIC + bytes([arr.ndim])
     header += np.asarray(arr.shape, dtype="<u4").tobytes()
-    payload = arr.astype("<f4", copy=False).tobytes()
-
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(header)
-        f.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, header, arr.astype("<f4", copy=False).tobytes())
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
@@ -109,12 +117,7 @@ def write_pgm(image: np.ndarray, path: str | Path) -> None:
     if data.ndim != 2:
         raise TensorFormatError("PGM image must be 2-D")
     h, w = data.shape
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
 
 
 def _read_pnm_header(raw: bytes, magic: bytes) -> tuple[int, int, int]:
@@ -361,9 +364,5 @@ def load_scene(scene_dir: str | Path) -> SceneBundle:
 
 def write_json(obj: dict, path: str | Path) -> None:
     """Write JSON with a stable key order and trailing newline, atomically."""
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))

@@ -12,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dynmask import evaluation
+from dynmask import cli, evaluation
 from dynmask.cli import main
 from dynmask.pipeline import PipelineConfig, run
 from dynmask.tensor_io import load_scene, read_pgm, read_tensor, write_tensor
@@ -220,6 +220,18 @@ class TestMask:
         out = tmp_path / "out"
         assert main(["mask", str(bad), "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_data_error(self, tmp_path, scene_dir, capsys,
+                                         monkeypatch):
+        # an input too large for memory is a data error, not a traceback
+        def exhausted(bundle, config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        out = tmp_path / "out"
+        assert main(["mask", str(scene_dir), "--out", str(out)]) == 2
+        assert "error: MemoryError" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_scene(self, tmp_path, capsys):

@@ -6,8 +6,8 @@ from scipy.spatial.transform import Rotation
 
 from dynmask.geometry import (BehindCameraError, CameraModel,
                               DegenerateBaselineError, EssentialMatrix,
-                              RelativePose, epipolar_residual,
-                              epipolar_residual_batch, essential_from_poses,
+                              epipolar_residual, epipolar_residual_batch,
+                              essential_from_poses, pixel_rays,
                               project_dynamic, project_dynamic_batch,
                               project_dynamic_world_batch, project_points,
                               project_rigid, project_rigid_batch,
@@ -25,6 +25,25 @@ def _random_camera(gen, spread=1.0):
     return _camera(R=R, t=t)
 
 
+def _relative_pose(ref, tgt):
+    """(R_rel, t_rel) with X_tgt = R_rel @ X_ref + t_rel."""
+    R_rel = tgt.R @ ref.R.T
+    return R_rel, tgt.t - R_rel @ ref.t
+
+
+def _relative_warp(pixels, depths, ref, tgt, motions):
+    """Oracle two-view warp K [R_rel (d K^-1 x) + t_rel + M] -> (uv, z).
+
+    Composes the relative pose instead of passing through the world frame,
+    with M the per-point motion in the target camera frame.
+    """
+    R_rel, t_rel = _relative_pose(ref, tgt)
+    homo = np.column_stack([pixels, np.ones(len(pixels))])
+    cam_pts = (homo @ np.linalg.inv(ref.K).T) * depths[:, None]
+    proj = (cam_pts @ R_rel.T + t_rel + motions) @ tgt.K.T
+    return proj[:, :2] / proj[:, 2:], proj[:, 2]
+
+
 class TestCameraModel:
     def test_rejects_non_orthonormal(self):
         R = np.eye(3)
@@ -35,6 +54,13 @@ class TestCameraModel:
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="determinant"):
+            _camera(R=R)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_rotation(self, value):
+        R = np.eye(3)
+        R[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
             _camera(R=R)
 
     def test_rejects_bad_focal(self):
@@ -49,10 +75,19 @@ class TestCameraModel:
     def test_k_inverse(self):
         cam = _camera(fx=100.0, fy=80.0, cx=31.5, cy=17.0)
         np.testing.assert_allclose(cam.K @ cam.K_inv, np.eye(3), atol=1e-12)
+        # pixel_rays applies K^-1 and leaves every ray at depth 1
+        uv = np.random.default_rng(3).uniform(-10, 70, (40, 2))
+        rays = pixel_rays(uv, cam)
+        np.testing.assert_array_equal(rays[:, 2], 1.0)
+        np.testing.assert_allclose(rays @ cam.K.T,
+                                   np.column_stack([uv, np.ones(40)]),
+                                   atol=1e-12)
 
     def test_principal_point_on_axis(self):
         # the principal point pixel unprojects straight down the optical axis
         cam = _camera()
+        np.testing.assert_array_equal(pixel_rays([[cam.cx, cam.cy]], cam),
+                                      [[0.0, 0.0, 1.0]])
         pt = unproject_pixels([[cam.cx, cam.cy]], [2.5], cam)[0]
         np.testing.assert_allclose(cam.world_to_camera(pt), [0.0, 0.0, 2.5],
                                    atol=1e-12)
@@ -133,6 +168,32 @@ class TestProjection:
                                   np.array([0.1, 0.0, 0.0]))
         assert uv_d[0] > uv_r[0]
 
+    def test_batch_warps_match_relative_pose_oracle(self):
+        # the warps go through the world frame; the oracle composes the
+        # relative pose, so the two share no arithmetic beyond K and R, t
+        gen = np.random.default_rng(11)
+        checked = 0
+        for _ in range(40):
+            ref, tgt = _random_camera(gen, 0.3), _random_camera(gen, 0.3)
+            uv = gen.uniform(0, 64, (50, 2))
+            depth = gen.uniform(1.0, 8.0, 50)
+            disp = gen.uniform(-0.2, 0.2, (50, 3))
+            motion = disp @ tgt.R.T
+            cases = [
+                (project_rigid_batch(uv, depth, ref, tgt), np.zeros((50, 3))),
+                (project_dynamic_batch(uv, depth, ref, tgt, motion), motion),
+                (project_dynamic_world_batch(uv, depth, ref, tgt, disp),
+                 motion),
+            ]
+            for (got_uv, got_z), m in cases:
+                want_uv, want_z = _relative_warp(uv, depth, ref, tgt, m)
+                front = want_z > 0.5
+                np.testing.assert_allclose(got_z, want_z, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got_uv[front], want_uv[front],
+                                           rtol=0, atol=1e-9)
+                checked += int(front.sum())
+        assert checked > 1000
+
     def test_world_displacement_maps_through_target_rotation(self):
         gen = np.random.default_rng(21)
         ref, tgt = _random_camera(gen, 0.2), _random_camera(gen, 0.2)
@@ -178,15 +239,6 @@ class TestEssentialMatrix:
         E = essential_from_poses(ref, tgt).matrix
         s = np.linalg.svd(E, compute_uv=False)
         assert s[2] < 1e-12 * s[0]
-
-    def test_relative_pose_composition(self):
-        gen = np.random.default_rng(13)
-        ref, tgt = _random_camera(gen), _random_camera(gen)
-        rel = RelativePose.from_cameras(ref, tgt)
-        pt = gen.standard_normal(3)
-        direct = tgt.world_to_camera(pt)
-        via_ref = rel.R @ ref.world_to_camera(pt) + rel.t
-        np.testing.assert_allclose(via_ref, direct, atol=1e-12)
 
 
 class TestEpipolarResidual:
@@ -254,7 +306,7 @@ class TestEpipolarResidual:
             E = essential_from_poses(ref, tgt, unit_baseline=True)
             assert E.unit_baseline
             np.testing.assert_allclose(np.linalg.norm(
-                RelativePose.from_cameras(ref, tgt).t), 0.4 * scale)
+                _relative_pose(ref, tgt)[1]), 0.4 * scale)
 
 
 class TestFirstOrderApproximation:

@@ -139,14 +139,13 @@ class TestToggleSemantics:
         result = run(bundle, cfg)
 
         initial = np.zeros_like(result.masks)
-        pixel_sal = np.zeros(result.masks.shape, dtype=np.float64)
+        sal = np.zeros_like(result.saliency)
         for f in range(bundle.frames):
             maps = bundle.attention[f].astype(np.float64)
             fused = attention.aggregate(maps, weighted=True)
             initial[f] = attention.binarize(fused, 0.5, patch=bundle.patch)
-            pixel_sal[f] = np.repeat(np.repeat(fused.values, bundle.patch,
-                                               axis=0), bundle.patch, axis=1)
-        cloud = purification.unproject_mask(bundle, initial, pixel_sal)
+            sal[f] = fused.values
+        cloud = purification.unproject_mask(bundle, initial, sal)
         cloud = purification.purify(cloud, tau=cfg.tau,
                                     r_factor=cfg.r_factor)
         expected = purification.mask_from_cloud(cloud, bundle)

@@ -8,7 +8,7 @@ import pytest
 from dynmask.geometry import CameraModel, project_points
 from dynmask.purification import (DynamicPointCloud, _outright_alive,
                                   build_index, mask_from_cloud, purify,
-                                  radius_neighbors, scene_diagonal,
+                                  radius_neighbors, read_ply, scene_diagonal,
                                   unproject_mask, write_ply)
 from dynmask.tensor_io import SceneBundle
 
@@ -75,6 +75,25 @@ class TestRadiusNeighbors:
             expect = _brute_counts(pts, r)
             got = np.array([radius_neighbors(cloud, idx, i, r) for i in range(n)])
             np.testing.assert_array_equal(got, expect)
+
+    def test_index_array_matches_single_calls(self):
+        # purify counts with one call over an index array; dead points in
+        # the array do not count themselves
+        gen = np.random.default_rng(7)
+        pts = gen.random((400, 3))
+        alive = gen.random(400) > 0.2
+        cloud = _cloud(pts, alive=alive)
+        idx = build_index(cloud, r=0.2)
+        ids = gen.permutation(400)[:250]
+        got = radius_neighbors(cloud, idx, ids, 0.2)
+        single = [radius_neighbors(cloud, idx, int(i), 0.2) for i in ids]
+        np.testing.assert_array_equal(got, single)
+        brute = np.array([
+            np.count_nonzero(alive & (((pts - pts[i]) ** 2).sum(axis=1)
+                                      <= 0.04)) - int(alive[i])
+            for i in ids])
+        np.testing.assert_array_equal(got, brute)
+        assert isinstance(single[0], int)
 
     def test_dead_points_excluded(self):
         pts = [[0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]]
@@ -313,13 +332,16 @@ class TestUnprojectAndRasterize:
                                        rtol=1e-6)
 
     def test_saliency_carried(self):
+        # saliency lives on the patch grid; a pixel carries its patch's value
         bundle = _bundle(frames=1)
-        sal = np.zeros((1, bundle.height, bundle.width))
+        p = bundle.patch
+        sal = np.zeros((1, bundle.height // p, bundle.width // p))
         sal[0, 1, 2] = 0.77
-        masks = np.zeros_like(sal, dtype=bool)
-        masks[0, 1, 2] = True
+        masks = np.zeros((1, bundle.height, bundle.width), dtype=bool)
+        masks[0, p + p - 1, 2 * p] = True
+        masks[0, 0, 0] = True
         cloud = unproject_mask(bundle, masks, saliencies=sal)
-        assert cloud.saliencies[0] == pytest.approx(0.77)
+        assert cloud.saliencies.tolist() == [0.0, 0.77]
 
     def test_mask_round_trip(self):
         gen = np.random.default_rng(10)
@@ -350,3 +372,53 @@ def test_write_ply(tmp_path):
     assert "element vertex 2" in text
     assert text[-2].split() == ["1.5", "-2", "3.25", "0.5", "1"]
     assert text[-1].split()[-1] == "0"
+
+
+class TestPlyRoundTrip:
+    def test_round_trip(self, tmp_path):
+        gen = np.random.default_rng(4)
+        cloud = _cloud(gen.normal(size=(50, 3)), alive=gen.random(50) > 0.5,
+                       saliencies=gen.random(50))
+        write_ply(cloud, tmp_path / "cloud.ply")
+        positions, saliencies, alive = read_ply(tmp_path / "cloud.ply")
+        np.testing.assert_allclose(positions, cloud.positions, rtol=1e-8)
+        np.testing.assert_allclose(saliencies, cloud.saliencies, rtol=1e-8)
+        np.testing.assert_array_equal(alive, cloud.alive)
+        # the vectorised parse equals Python's float() line by line
+        body = (tmp_path / "cloud.ply").read_text().splitlines()[9:]
+        ref = np.array([[float(v) for v in line.split()] for line in body])
+        np.testing.assert_array_equal(positions, ref[:, :3])
+        np.testing.assert_array_equal(saliencies, ref[:, 3])
+        assert [f.name for f in tmp_path.iterdir()] == ["cloud.ply"]
+
+    def test_single_point(self, tmp_path):
+        write_ply(_cloud([[1.5, -2.0, 3.25]]), tmp_path / "c.ply")
+        positions, saliencies, alive = read_ply(tmp_path / "c.ply")
+        assert positions.tolist() == [[1.5, -2.0, 3.25]]
+        assert saliencies.tolist() == [1.0] and alive.tolist() == [True]
+
+    def test_empty_cloud(self, tmp_path):
+        write_ply(DynamicPointCloud.empty(), tmp_path / "c.ply")
+        positions, saliencies, alive = read_ply(tmp_path / "c.ply")
+        assert positions.shape == (0, 3)
+        assert len(saliencies) == len(alive) == 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["plx"] + lines[1:], "not an ASCII PLY"),
+        (lambda lines: lines[:2] + ["element face 2"] + lines[3:],
+         "vertex element"),
+        (lambda lines: lines[:8] + ["end"] + lines[9:], "header layout"),
+        (lambda lines: lines[:5], "header layout"),
+        (lambda lines: lines[:-1], "expected 2 vertices, found 1"),
+        (lambda lines: lines[:-1] + ["0 0 1 1"], "columns"),
+        (lambda lines: [ln + " 7" if ln[0].isdigit() else ln
+                        for ln in lines], "5 properties"),
+        (lambda lines: lines[:-1] + ["0 0 1 x 0"], "convert"),
+    ], ids=["magic", "element", "end-header", "truncated-header",
+            "missing-row", "ragged-row", "extra-column", "not-a-number"])
+    def test_malformed_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "c.ply"
+        write_ply(_cloud([[1.5, -2.0, 3.25], [0, 0, 1]]), p)
+        p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_ply(p)
