@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,7 @@ def cmd_mask(args) -> int:
 
     result = run(bundle, config)
 
+    t0 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for f in range(bundle.frames):
@@ -127,6 +129,7 @@ def cmd_mask(args) -> int:
         "head_weights": [[float(v) for v in row]
                          for row in result.head_weights],
     }, out / "pipeline.json")
+    result.timings["write"] = time.perf_counter() - t0
     # timing varies run to run, so it lives outside the deterministic
     # pipeline.json (same inputs must produce identical bytes there)
     write_json({"seconds": result.timings}, out / "timing.json")

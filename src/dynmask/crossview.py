@@ -8,6 +8,12 @@ normalized into convex weights, so one trusted agreeing view can outvote
 several noisy ones.  Points whose weighted inconsistency stays below a
 threshold are re-labeled static; the survivors form the final masks after
 a single morphological closing pass.
+
+The sampler is exact, not approximate: each view's depth, RGB and
+confidence are sampled channel-major from one (5, H*W) array, but every
+point still sums its taps in the order 00, 01, 10, 11 and its views in
+index order, so scores are bit-identical to sampling the (H, W, C) stack
+tap by tap with per-point (N, C) gathers.
 """
 
 from __future__ import annotations
@@ -44,10 +50,17 @@ def bilinear_sample(values: np.ndarray, support: np.ndarray,
     to contribute.  Taps outside the image or outside the support get zero
     weight and the rest are renormalized.  Returns (sampled, ok) where ok
     is False when no tap had weight (sampled is 0 there).
+
+    Sampling runs channel-major: the channels are read as (C, H*W) planes
+    (without a copy when `values` is the (H, W, C) transpose of contiguous
+    planes, as `score_cloud` passes them), and each tap gathers every
+    channel with one `np.take` along the pixel axis.
     """
     vals = np.asarray(values, dtype=np.float64)
     sup = np.asarray(support, dtype=bool)
     h, w = sup.shape
+    planes = np.moveaxis(vals.reshape(h, w, -1), -1, 0).reshape(-1, h * w)
+    sup = sup.ravel()
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
 
@@ -55,57 +68,53 @@ def bilinear_sample(values: np.ndarray, support: np.ndarray,
     y0 = np.floor(v).astype(np.int64)
     fx = u - x0
     fy = v - y0
+    gx = 1 - fx
+    gy = 1 - fy
+    # per axis and tap offset: the clamped index and whether it is in range
+    cols = [(np.clip(x0 + d, 0, w - 1), (x0 + d >= 0) & (x0 + d < w))
+            for d in (0, 1)]
+    rows = [(np.clip(y0 + d, 0, h - 1) * w, (y0 + d >= 0) & (y0 + d < h))
+            for d in (0, 1)]
 
-    flat = vals.reshape(h * w, -1)
-    out = np.zeros((len(u), flat.shape[1]))
+    out = np.zeros((len(planes), len(u)))
     wsum = np.zeros(len(u))
-    for dy, dx, wt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
-                       (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
-        xi = x0 + dx
-        yi = y0 + dy
-        inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        xi_c = np.clip(xi, 0, w - 1)
-        yi_c = np.clip(yi, 0, h - 1)
-        weight = wt * inside * sup[yi_c, xi_c]
-        out += weight[:, None] * flat[yi_c * w + xi_c]
+    for dy, dx, weight in ((0, 0, gx * gy), (0, 1, fx * gy),
+                           (1, 0, gx * fy), (1, 1, fx * fy)):
+        (row, row_in), (col, col_in) = rows[dy], cols[dx]
+        idx = row + col
+        weight *= row_in & col_in & sup[idx]
+        block = np.take(planes, idx, axis=1)
+        block *= weight
+        out += block
         wsum += weight
     ok = wsum > 0
-    out[ok] /= wsum[ok, None]
-    sampled = out[:, 0] if vals.ndim == 2 else out
-    return sampled, ok
+    np.divide(out, wsum, out=out, where=ok)
+    return (out[0] if vals.ndim == 2 else out.T), ok
 
 
-def _project_into_view(positions: np.ndarray, bundle: SceneBundle,
-                       confidences: np.ndarray, view: int,
+def _project_into_view(positions: np.ndarray, planes: np.ndarray,
+                       support: np.ndarray, camera: geometry.CameraModel,
                        occlusion_tol: float
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized projection of many points into one view.
+    """Project many points into one view; keep the ones it sees.
 
-    Depth, color and confidence are stacked into one (H, W, 5) array and
-    sampled in a single pass; `bilinear_sample` treats channels
-    independently, so this equals three separate samplings.  Returns
-    (z, samples, visible) with samples (N, 5) = depth, RGB, confidence,
-    zero where the point does not land on valid depth.
+    `planes` is the view's (5, H*W) depth, RGB and confidence; the points
+    that land in frame in front of the camera are sampled in one
+    `bilinear_sample` call.  Returns (ids, z, samples) for the visible
+    points only: their indices into `positions`, their depth in this
+    camera and their (5, K) samples.
     """
-    uv, z = geometry.project_points(positions, bundle.cameras[view])
-    h, w = bundle.height, bundle.width
-    in_front = z > 1e-9
-    in_bounds = ((uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
-                 & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
-    candidate = in_front & in_bounds
-
-    samples = np.zeros((len(positions), 5))
-    ok = np.zeros(len(positions), dtype=bool)
-    if candidate.any():
-        stack = np.dstack((bundle.depths[view], bundle.images[view],
-                           confidences[view]))
-        samples[candidate], ok[candidate] = bilinear_sample(
-            stack, bundle.depths[view] > 0,
-            uv[candidate, 0], uv[candidate, 1])
-
-    not_occluded = z <= samples[:, 0] + occlusion_tol * z
-    visible = candidate & ok & not_occluded
-    return z, samples, visible
+    h, w = support.shape
+    uv, z = geometry.project_points(positions, camera)
+    ids = np.flatnonzero((z > 1e-9)
+                         & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
+                         & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
+    samples, ok = bilinear_sample(planes.T.reshape(h, w, len(planes)),
+                                  support, uv[ids, 0], uv[ids, 1])
+    samples = samples.T
+    z = z[ids]
+    visible = ok & (z <= samples[0] + occlusion_tol * z)
+    return ids[visible], z[visible], samples[:, visible]
 
 
 def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
@@ -134,21 +143,27 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     frames = cloud.frame_indices[alive_ids]
     rows = cloud.pixels[alive_ids, 0]
     cols = cloud.pixels[alive_ids, 1]
-    colors = bundle.images[frames, rows, cols].astype(np.float64)
+    colors = np.ascontiguousarray(bundle.images[frames, rows, cols].T,
+                                  dtype=np.float64)  # (3, N)
 
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
+    planes = np.empty((5, bundle.height * bundle.width))
     for view in range(bundle.frames):
-        z, samples, vis = _project_into_view(pos, bundle, confidences, view,
-                                             occlusion_tol)
-        cf_s = samples[:, 4]
-        r_d = np.abs(z - samples[:, 0])
-        r_c = np.mean(np.abs(colors - samples[:, 1:4]), axis=1)
-        contrib = cf_s * (r_d + lam * r_c)
-        weight_sum += np.where(vis, cf_s, 0.0)
-        weighted_res += np.where(vis, contrib, 0.0)
-        vis_count += vis
+        planes[0] = bundle.depths[view].ravel()
+        planes[1:4] = bundle.images[view].reshape(-1, 3).T
+        planes[4] = confidences[view].ravel()
+        ids, z, samples = _project_into_view(
+            pos, planes, bundle.depths[view] > 0, bundle.cameras[view],
+            occlusion_tol)
+        r_d = np.abs(z - samples[0])
+        # mean |color residual| summed channel by channel, as np.mean does
+        r_c = np.abs(np.take(colors, ids, axis=1) - samples[1:4])
+        r_c = (r_c[0] + r_c[1] + r_c[2]) / 3
+        weight_sum[ids] += samples[4]
+        weighted_res[ids] += samples[4] * (r_d + lam * r_c)
+        vis_count[ids] += 1
 
     seen = vis_count > 0
     out = np.zeros(len(alive_ids))

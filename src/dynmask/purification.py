@@ -201,47 +201,63 @@ def mask_from_cloud(cloud: DynamicPointCloud, bundle: SceneBundle) -> np.ndarray
     return masks
 
 
+PLY_FORMAT = b"format binary_little_endian 1.0"
+PLY_VERTEX = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                       ("saliency", "<f8"), ("alive", "u1")])  # 33 bytes
+
+
+def _ply_header(count: int) -> list[bytes]:
+    return [b"ply", PLY_FORMAT, b"element vertex %d" % count,
+            b"property double x", b"property double y", b"property double z",
+            b"property double saliency", b"property uchar alive",
+            b"end_header"]
+
+
 def write_ply(cloud: DynamicPointCloud, path) -> None:
-    """Dump the cloud as ASCII PLY with saliency and alive-flag properties."""
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property float saliency",
-        "property uchar alive",
-        "end_header",
-    ]
-    for i in range(len(cloud)):
-        x, y, z = cloud.positions[i]
-        lines.append(f"{x:.9g} {y:.9g} {z:.9g} "
-                     f"{cloud.saliencies[i]:.9g} {int(cloud.alive[i])}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    """Dump the cloud as binary little-endian PLY.
+
+    Each vertex is double x, y, z and saliency plus a uchar alive flag, 33
+    bytes, so positions and saliencies are stored exactly.
+    """
+    body = np.empty(len(cloud), dtype=PLY_VERTEX)
+    body["x"], body["y"], body["z"] = cloud.positions.T
+    body["saliency"] = cloud.saliencies
+    body["alive"] = cloud.alive
+    write_atomic(path, b"\n".join(_ply_header(len(cloud))) + b"\n",
+                 memoryview(body))
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read back a cloud written by write_ply: (positions, saliencies, alive).
 
-    Only the exact layout write_ply produces is accepted; anything else
-    raises ValueError.
+    Only the exact header write_ply writes and a body of exactly 33 bytes
+    per vertex are accepted; anything else raises ValueError.
     """
-    with open(path, "r", encoding="ascii") as f:
-        header = [f.readline().rstrip("\n") for _ in range(9)]
-        if header[0] != "ply" or header[1] != "format ascii 1.0":
-            raise ValueError(f"{path}: not an ASCII PLY cloud")
-        if not header[2].startswith("element vertex "):
-            raise ValueError(f"{path}: missing vertex element")
-        count = int(header[2].split()[-1])
-        if header[8] != "end_header":
-            raise ValueError(f"{path}: unexpected header layout")
-        if count == 0:
-            return (np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=bool))
-        data = np.loadtxt(f, ndmin=2, max_rows=count, comments=None)
-    if len(data) != count:
-        raise ValueError(f"{path}: expected {count} vertices, "
-                         f"found {len(data)}")
-    if data.shape[1] != 5:
-        raise ValueError(f"{path}: expected 5 properties per vertex")
-    return data[:, :3], data[:, 3], data[:, 4] > 0.5
+    with open(path, "rb") as f:
+        raw = f.read()
+    lines = raw[:256].split(b"\n")[:9]
+    if lines[0] != b"ply":
+        raise ValueError(f"{path}: not a PLY file")
+    if len(lines) < 2 or lines[1] != PLY_FORMAT:
+        raise ValueError(
+            f"{path}: expected '{PLY_FORMAT.decode()}'; a cloud written as "
+            "ASCII by an earlier version must be re-made with `dynmask mask`")
+    words = lines[2].split(b" ") if len(lines) > 2 else []
+    if (len(words) != 3 or words[:2] != [b"element", b"vertex"]
+            or not words[2].isdigit()):
+        raise ValueError(f"{path}: missing vertex element")
+    count = int(words[2])
+    header = _ply_header(count)
+    for i, want in enumerate(header):
+        got = lines[i] if i < len(lines) else b""
+        if got != want:
+            raise ValueError(f"{path}: header line {i + 1} is {got!r}, "
+                             f"expected {want!r}")
+    offset = sum(len(line) + 1 for line in header)
+    size = count * PLY_VERTEX.itemsize
+    if len(raw) - offset != size:
+        raise ValueError(f"{path}: {count} vertices take {size} bytes, "
+                         f"the body has {len(raw) - offset}")
+    data = np.frombuffer(raw, dtype=PLY_VERTEX, count=count, offset=offset)
+    positions = np.column_stack((data["x"], data["y"], data["z"]))
+    return positions, data["saliency"].copy(), data["alive"] != 0

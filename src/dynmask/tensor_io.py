@@ -36,7 +36,7 @@ class SceneFormatError(ValueError):
     """Scene directory that fails manifest or cross-tensor validation."""
 
 
-def write_atomic(path: str | Path, *chunks: bytes) -> None:
+def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
     """Write `chunks` to `path` through a per-process temporary file.
 
     Readers see either the old file or the complete new one, never a

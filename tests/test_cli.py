@@ -140,7 +140,10 @@ class TestMask:
             assert (pred_dir / f"mask_{f:04d}.pgm").exists()
         assert (pred_dir / "cloud.ply").exists()
         assert (pred_dir / "pipeline.json").exists()
-        assert (pred_dir / "timing.json").exists()
+        timing = json.loads((pred_dir / "timing.json").read_text())
+        assert set(timing["seconds"]) == {"saliency", "unproject",
+                                          "purification", "refinement",
+                                          "write"}
 
     def test_pipeline_json_contents(self, pred_dir):
         blob = json.loads((pred_dir / "pipeline.json").read_text())
@@ -288,6 +291,17 @@ class TestEval:
         assert report["jm"] is None
         assert report["ate"] is None
         assert report["acc_mean"] is None
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["truncated", "trailing"])
+    def test_malformed_cloud_is_data_error(self, tmp_path, scene_dir,
+                                           pred_dir, cut, capsys):
+        broken = tmp_path / "pred"
+        shutil.copytree(pred_dir, broken)
+        raw = (broken / "cloud.ply").read_bytes()
+        (broken / "cloud.ply").write_bytes(
+            raw[:-1] if cut < 0 else raw + b"\0")
+        assert main(["eval", str(broken), str(scene_dir)]) == 2
+        assert "body has" in capsys.readouterr().err
 
 
 class TestResiduals:

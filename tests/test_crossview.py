@@ -2,7 +2,9 @@
 
 `score_cloud` is checked against a scalar oracle kept here: one point, one
 view at a time, with depth, color and confidence each sampled by its own
-`bilinear_sample` call.
+`bilinear_sample` call.  The channel-major sampler and scorer are also
+checked for bit-identity against the pixel-major versions they replaced,
+kept here as references.
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dynmask import crossview
+from dynmask import crossview, synthetic
 from dynmask.crossview import (activate_confidence, bilinear_sample,
                                close_masks, refine_masks, score_cloud)
 from dynmask.geometry import CameraModel, project_points
@@ -86,6 +88,76 @@ def dynamic_score(records, lam=crossview.DEFAULT_LAMBDA):
     return float(score)
 
 
+def reference_bilinear_sample(values, support, u, v):
+    """Pixel-major bilinear sampling: an (N, C) gather per tap.
+
+    The taps are summed in the order 00, 01, 10, 11 with weight
+    wt * inside * support, then renormalized where any weight landed.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    sup = np.asarray(support, dtype=bool)
+    h, w = sup.shape
+    x0 = np.floor(u).astype(np.int64)
+    y0 = np.floor(v).astype(np.int64)
+    fx = u - x0
+    fy = v - y0
+    flat = vals.reshape(h * w, -1)
+    out = np.zeros((len(u), flat.shape[1]))
+    wsum = np.zeros(len(u))
+    for dy, dx, wt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
+                       (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
+        xi = x0 + dx
+        yi = y0 + dy
+        inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+        xi_c = np.clip(xi, 0, w - 1)
+        yi_c = np.clip(yi, 0, h - 1)
+        weight = wt * inside * sup[yi_c, xi_c]
+        out += weight[:, None] * flat[yi_c * w + xi_c]
+        wsum += weight
+    ok = wsum > 0
+    out[ok] /= wsum[ok, None]
+    return (out[:, 0] if vals.ndim == 2 else out), ok
+
+
+def reference_score_cloud(cloud, bundle, confidences,
+                          lam=crossview.DEFAULT_LAMBDA,
+                          occlusion_tol=crossview.DEFAULT_OCCLUSION_TOL):
+    """`score_cloud` over full-length arrays with an (H, W, 5) stack."""
+    alive_ids = np.flatnonzero(cloud.alive)
+    pos = cloud.positions[alive_ids]
+    frames = cloud.frame_indices[alive_ids]
+    colors = bundle.images[frames, cloud.pixels[alive_ids, 0],
+                           cloud.pixels[alive_ids, 1]].astype(np.float64)
+    h, w = bundle.height, bundle.width
+    weight_sum = np.zeros(len(alive_ids))
+    weighted_res = np.zeros(len(alive_ids))
+    vis_count = np.zeros(len(alive_ids), dtype=np.int64)
+    for view, cam in enumerate(bundle.cameras):
+        uv, z = project_points(pos, cam)
+        candidate = ((z > 1e-9) & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
+                     & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
+        samples = np.zeros((len(pos), 5))
+        ok = np.zeros(len(pos), dtype=bool)
+        stack = np.dstack((bundle.depths[view], bundle.images[view],
+                           confidences[view]))
+        samples[candidate], ok[candidate] = reference_bilinear_sample(
+            stack, bundle.depths[view] > 0,
+            uv[candidate, 0], uv[candidate, 1])
+        vis = candidate & ok & (z <= samples[:, 0] + occlusion_tol * z)
+        r_d = np.abs(z - samples[:, 0])
+        r_c = np.mean(np.abs(colors - samples[:, 1:4]), axis=1)
+        contrib = samples[:, 4] * (r_d + lam * r_c)
+        weight_sum += np.where(vis, samples[:, 4], 0.0)
+        weighted_res += np.where(vis, contrib, 0.0)
+        vis_count += vis
+    seen = vis_count > 0
+    scores = np.zeros(len(cloud))
+    counts = np.zeros(len(cloud), dtype=np.int64)
+    scores[alive_ids[seen]] = weighted_res[seen] / weight_sum[seen]
+    counts[alive_ids] = vis_count
+    return scores, counts
+
+
 def _record(r_d=0.0, r_c=0.0, conf=2.0, visible=True, d=2.0):
     return ProjectionRecord(
         point_id=0, view=0, pixel=np.zeros(2),
@@ -155,6 +227,29 @@ class TestBilinearSample:
         sup = np.ones((2, 2), bool)
         out, _ = bilinear_sample(vals, sup, np.array([0.5]), np.array([0.5]))
         np.testing.assert_allclose(out[0], [0.0, 2.0, 0.0])
+
+
+    @pytest.mark.parametrize("channels", [None, 5])
+    def test_matches_reference_exactly(self, channels):
+        gen = np.random.default_rng(7)
+        h, w = 9, 13
+        shape = (h, w) if channels is None else (h, w, channels)
+        vals = gen.normal(size=shape) * 10.0 ** gen.integers(-3, 4, shape)
+        sup = gen.random((h, w)) > 0.3
+        sup[2:5, 3:6] = False  # a hole wider than one tap footprint
+        u = gen.uniform(-1.5, w + 0.5, 400)
+        v = gen.uniform(-1.5, h + 0.5, 400)
+        u[:40], v[:40] = gen.integers(0, w, 40), gen.integers(0, h, 40)
+        u[40:60], v[60:80] = w - 1, h - 1  # last column, last row
+        u[80], v[80] = w - 1, h - 1
+        u[81:90], v[81:90] = gen.uniform(3, 5, 9), gen.uniform(2, 4, 9)
+        got, got_ok = bilinear_sample(vals, sup, u, v)
+        want, want_ok = reference_bilinear_sample(vals, sup, u, v)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got_ok, want_ok)
+        np.testing.assert_array_equal(got, want)
+        # the hole leaves points with no supported tap, and others do land
+        assert not got_ok[81:90].any() and got_ok.sum() > 200
 
 
 class TestDynamicScore:
@@ -316,6 +411,21 @@ class TestScoreCloud:
             assert counts[i] == n_vis
             if n_vis:
                 assert scores[i] == pytest.approx(dynamic_score(recs), abs=1e-12)
+
+    def test_matches_reference_exactly(self):
+        spec = synthetic.corpus_specs(1, frames=4, width=64, height=48)[0]
+        bundle, gt = synthetic.generate(spec)
+        conf = activate_confidence(bundle.confidence_logits)
+        gen = np.random.default_rng(3)
+        masks = (gt.instances >= 0) | (gen.random(gt.instances.shape) > 0.7)
+        cloud = unproject_mask(bundle, masks)
+        cloud.positions += gen.normal(scale=0.02, size=cloud.positions.shape)
+        cloud.alive &= gen.random(len(cloud)) > 0.1
+        scores, counts = score_cloud(cloud, bundle, conf)
+        want_scores, want_counts = reference_score_cloud(cloud, bundle, conf)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(scores, want_scores)
+        assert 0 < (counts > 0).sum() < len(cloud)
 
     def test_static_points_score_near_zero(self):
         bundle = _flat_bundle()

@@ -1,5 +1,6 @@
 """Point-cloud purification tests with a brute-force neighborhood oracle."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -362,63 +363,85 @@ class TestUnprojectAndRasterize:
         assert out[2, 10 % bundle.height, 20 % bundle.width]
 
 
+PLY_HEADER = (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\n"
+              b"property double x\nproperty double y\nproperty double z\n"
+              b"property double saliency\nproperty uchar alive\nend_header\n")
+
+
 def test_write_ply(tmp_path):
     cloud = _cloud([[1.5, -2.0, 3.25], [0, 0, 1]], alive=[True, False],
                    saliencies=[0.5, 1.0])
     p = tmp_path / "cloud.ply"
     write_ply(cloud, p)
-    text = p.read_text().splitlines()
-    assert text[0] == "ply"
-    assert "element vertex 2" in text
-    assert text[-2].split() == ["1.5", "-2", "3.25", "0.5", "1"]
-    assert text[-1].split()[-1] == "0"
+    # standard binary PLY: little-endian doubles then one byte, 33 bytes
+    assert p.read_bytes() == (PLY_HEADER % 2
+                              + struct.pack("<ddddB", 1.5, -2.0, 3.25, 0.5, 1)
+                              + struct.pack("<ddddB", 0.0, 0.0, 1.0, 1.0, 0))
+
+
+# a two-point cloud in the ASCII layout that earlier versions wrote
+ASCII_PLY_LINES = [b"ply", b"format ascii 1.0", b"element vertex 2",
+                   b"property float x", b"property float y",
+                   b"property float z", b"property float saliency",
+                   b"property uchar alive", b"end_header",
+                   b"1.5 -2 3.25 1 1", b"0 0 1 1 1"]
 
 
 class TestPlyRoundTrip:
+    def _assert_exact(self, path, cloud):
+        positions, saliencies, alive = read_ply(path)
+        np.testing.assert_array_equal(positions, cloud.positions)
+        np.testing.assert_array_equal(saliencies, cloud.saliencies)
+        np.testing.assert_array_equal(alive, cloud.alive)
+        assert positions.shape == (len(cloud), 3) and alive.dtype == bool
+
     def test_round_trip(self, tmp_path):
         gen = np.random.default_rng(4)
-        cloud = _cloud(gen.normal(size=(50, 3)), alive=gen.random(50) > 0.5,
+        # values that %.9g text would round, and extremes
+        points = gen.normal(size=(50, 3)) * 10.0 ** gen.integers(-8, 8, (50, 1))
+        points[0] = [np.pi, -1e-300, 1e300]
+        cloud = _cloud(points, alive=gen.random(50) > 0.5,
                        saliencies=gen.random(50))
         write_ply(cloud, tmp_path / "cloud.ply")
-        positions, saliencies, alive = read_ply(tmp_path / "cloud.ply")
-        np.testing.assert_allclose(positions, cloud.positions, rtol=1e-8)
-        np.testing.assert_allclose(saliencies, cloud.saliencies, rtol=1e-8)
-        np.testing.assert_array_equal(alive, cloud.alive)
-        # the vectorised parse equals Python's float() line by line
-        body = (tmp_path / "cloud.ply").read_text().splitlines()[9:]
-        ref = np.array([[float(v) for v in line.split()] for line in body])
-        np.testing.assert_array_equal(positions, ref[:, :3])
-        np.testing.assert_array_equal(saliencies, ref[:, 3])
+        self._assert_exact(tmp_path / "cloud.ply", cloud)
         assert [f.name for f in tmp_path.iterdir()] == ["cloud.ply"]
 
     def test_single_point(self, tmp_path):
-        write_ply(_cloud([[1.5, -2.0, 3.25]]), tmp_path / "c.ply")
-        positions, saliencies, alive = read_ply(tmp_path / "c.ply")
-        assert positions.tolist() == [[1.5, -2.0, 3.25]]
-        assert saliencies.tolist() == [1.0] and alive.tolist() == [True]
+        cloud = _cloud([[1.5, -2.0, 3.25]], saliencies=[0.1])
+        write_ply(cloud, tmp_path / "c.ply")
+        self._assert_exact(tmp_path / "c.ply", cloud)
 
     def test_empty_cloud(self, tmp_path):
         write_ply(DynamicPointCloud.empty(), tmp_path / "c.ply")
-        positions, saliencies, alive = read_ply(tmp_path / "c.ply")
-        assert positions.shape == (0, 3)
-        assert len(saliencies) == len(alive) == 0
+        assert (tmp_path / "c.ply").read_bytes() == PLY_HEADER % 0
+        self._assert_exact(tmp_path / "c.ply", DynamicPointCloud.empty())
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda lines: ["plx"] + lines[1:], "not an ASCII PLY"),
-        (lambda lines: lines[:2] + ["element face 2"] + lines[3:],
+        (lambda head, body: ([b"plx"] + head[1:], body), "not a PLY file"),
+        (lambda head, body: (head[:1] + [b"format binary_big_endian 1.0"]
+                             + head[2:], body), "binary_little_endian"),
+        (lambda head, body: (head[:2] + [b"element face 2"] + head[3:], body),
          "vertex element"),
-        (lambda lines: lines[:8] + ["end"] + lines[9:], "header layout"),
-        (lambda lines: lines[:5], "header layout"),
-        (lambda lines: lines[:-1], "expected 2 vertices, found 1"),
-        (lambda lines: lines[:-1] + ["0 0 1 1"], "columns"),
-        (lambda lines: [ln + " 7" if ln[0].isdigit() else ln
-                        for ln in lines], "5 properties"),
-        (lambda lines: lines[:-1] + ["0 0 1 x 0"], "convert"),
-    ], ids=["magic", "element", "end-header", "truncated-header",
-            "missing-row", "ragged-row", "extra-column", "not-a-number"])
+        (lambda head, body: (head[:3] + [b"property float x"] + head[4:],
+                             body), "header line 4"),
+        (lambda head, body: (head[:8] + [b"property uchar verdict"]
+                             + head[8:], body[:33] + b"\0" + body[33:] + b"\0"),
+         "header line 9"),
+        (lambda head, body: (head[:8] + [b"end"], body), "header line 9"),
+        (lambda head, body: (head[:5], b""), "header line 6"),
+        (lambda head, body: (head, body[:33]), "the body has 33"),
+        (lambda head, body: (head, body[:-5]), "the body has 61"),
+        (lambda head, body: (head, body + b"\n"), "the body has 67"),
+        (lambda head, body: (ASCII_PLY_LINES, b""),
+         "binary_little_endian.*dynmask mask"),
+    ], ids=["magic", "format", "element", "property-type", "extra-column",
+            "end-header", "truncated-header", "missing-row", "ragged-row",
+            "trailing-bytes", "ascii"])
     def test_malformed_rejected(self, tmp_path, edit, message):
         p = tmp_path / "c.ply"
         write_ply(_cloud([[1.5, -2.0, 3.25], [0, 0, 1]]), p)
-        p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+        *head, body = p.read_bytes().split(b"\n", 9)
+        head, body = edit(head, body)
+        p.write_bytes(b"\n".join(head) + b"\n" + body)
         with pytest.raises(ValueError, match=message):
             read_ply(p)
