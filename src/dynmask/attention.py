@@ -39,34 +39,17 @@ def head_variance(head: np.ndarray) -> float:
     return float(np.mean((arr - mean) ** 2))
 
 
-def _head_variances(maps: np.ndarray, eps: float) -> np.ndarray:
-    """Per-head variances of an (H, H', W') stack, after checking the inputs."""
+def effective_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Convex-combination weights of an (H, H', W') head stack.
+
+    Each head's weight is its spatial variance over the total,
+    V_h / (sum_k V_k + eps), renormalized to sum to 1, so eps cancels.
+    When the total variance is below the fallback threshold, all heads
+    get equal weight.
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    arr = np.asarray(maps, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] < 1:
-        raise ValueError(f"head stack shape {arr.shape}, wanted (H, H', W')")
-    return np.array([head_variance(arr[h]) for h in range(arr.shape[0])])
-
-
-def head_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Raw variance-proportional weights w_h = V_h / (sum_k V_k + eps).
-
-    The eps keeps the division finite when every head is constant; as a
-    consequence the raw weights sum to slightly under 1.  `aggregate`
-    renormalizes before fusing.
-    """
-    variances = _head_variances(maps, eps)
-    return variances / (variances.sum() + eps)
-
-
-def effective_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Convex-combination weights actually used for fusion.
-
-    Renormalizes the raw variance weights to sum to 1; when the total
-    variance is below the fallback threshold, all heads get equal weight.
-    """
-    variances = _head_variances(maps, eps)
+    variances = np.array([head_variance(head) for head in maps])
     total = variances.sum()
     if total <= UNIFORM_FALLBACK_TOTAL:
         return np.full(len(variances), 1.0 / len(variances))

@@ -9,9 +9,9 @@ identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ from .evaluation import MetricReport
 from .geometry import epipolar_residual_batch, essential_from_poses, \
     project_dynamic_world_batch
 from .pipeline import PipelineConfig, run
-from .tensor_io import (SceneBundle, SceneFormatError, load_scene, read_pgm,
-                        write_json, write_pgm, write_tensor)
+from .tensor_io import (SceneFormatError, load_scene, read_pgm, write_json,
+                        write_pgm, write_tensor)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,11 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    spec = synthetic.SceneSpec.from_json(args.spec)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    spec = synthetic.SceneSpec.from_dict(raw)
+        spec.seed = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bundle, gt = synthetic.generate(spec, out)
@@ -154,10 +152,8 @@ def cmd_eval(args) -> int:
     bundle = load_scene(args.scene)
     pred_masks = _load_pred_masks(pred_dir, bundle.frames)
 
-    if bundle.gt_masks is not None:
-        report = evaluation.evaluate_masks(pred_masks, bundle.gt_masks)
-    else:
-        report = MetricReport()
+    report = (MetricReport() if bundle.gt_masks is None
+              else evaluation.evaluate_masks(pred_masks, bundle.gt_masks))
 
     if bundle.gt_cameras is not None:
         report.ate = evaluation.ate(bundle.cameras, bundle.gt_cameras)
@@ -172,16 +168,10 @@ def cmd_eval(args) -> int:
         # the reference surface is the true dynamic geometry: ground-truth
         # silhouettes lifted with noise-free depth
         gt_cloud = purification.unproject_mask(
-            _with_depths(bundle, gt.true_depths), bundle.gt_masks)
+            replace(bundle, depths=gt.true_depths), bundle.gt_masks)
         if len(pred_points) and len(gt_cloud):
-            stats = evaluation.cloud_metrics(pred_points,
-                                             gt_cloud.positions)
-            report.acc_mean = stats["acc_mean"]
-            report.acc_median = stats["acc_median"]
-            report.comp_mean = stats["comp_mean"]
-            report.comp_median = stats["comp_median"]
-            report.dist_mean = stats["dist_mean"]
-            report.dist_median = stats["dist_median"]
+            report = replace(report, **evaluation.cloud_metrics(
+                pred_points, gt_cloud.positions))
 
     out_path = Path(args.out) if args.out else pred_dir / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,13 +182,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _with_depths(bundle: SceneBundle, depths: np.ndarray) -> SceneBundle:
-    """Shallow bundle copy with the depth stack swapped out."""
-    return SceneBundle(images=bundle.images, depths=depths,
-                       confidence_logits=bundle.confidence_logits,
-                       attention=bundle.attention, cameras=bundle.cameras,
-                       patch=bundle.patch, gt_masks=bundle.gt_masks,
-                       gt_cameras=bundle.gt_cameras)
+def _stat(reduce, values) -> float | None:
+    """`reduce(values)` as a float, or None when there are no values."""
+    return float(reduce(values)) if len(values) else None
 
 
 def cmd_residuals(args) -> int:
@@ -236,33 +222,20 @@ def cmd_residuals(args) -> int:
         write_tensor(res_map, out / f"residual_{f:04d}_{f + 1:04d}.dmt")
 
         mover = inst >= 0
-        entry = {
+        pairs.append({
             "ref": f, "tgt": f + 1,
-            "background_median": float(np.median(delta[~mover]))
-            if (~mover).any() else None,
-            "background_max": float(delta[~mover].max())
-            if (~mover).any() else None,
-            "mover_median": float(np.median(delta[mover]))
-            if mover.any() else None,
-            "mover_max": float(delta[mover].max()) if mover.any() else None,
-        }
-        pairs.append(entry)
+            "background_median": _stat(np.median, delta[~mover]),
+            "background_max": _stat(np.max, delta[~mover]),
+            "mover_median": _stat(np.median, delta[mover]),
+            "mover_max": _stat(np.max, delta[mover]),
+        })
 
-    bg = [p["background_median"] for p in pairs
-          if p["background_median"] is not None]
-    mv = [p["mover_median"] for p in pairs if p["mover_median"] is not None]
-    summary = {
-        "pairs": pairs,
-        "overall": {
-            "background_median": float(np.median(bg)) if bg else None,
-            "mover_median": float(np.median(mv)) if mv else None,
-        },
-    }
-    write_json(summary, out / "residuals.json")
-    bg_txt = ("n/a" if summary["overall"]["background_median"] is None
-              else f"{summary['overall']['background_median']:.3e}")
-    mv_txt = ("n/a" if summary["overall"]["mover_median"] is None
-              else f"{summary['overall']['mover_median']:.3e}")
+    overall = {key: _stat(np.median, [p[key] for p in pairs
+                                      if p[key] is not None])
+               for key in ("background_median", "mover_median")}
+    write_json({"pairs": pairs, "overall": overall}, out / "residuals.json")
+    bg_txt, mv_txt = ("n/a" if v is None else f"{v:.3e}"
+                      for v in overall.values())
     print(f"residuals over {len(pairs)} pairs: background median {bg_txt}, "
           f"mover median {mv_txt} -> {out}")
     return EXIT_OK

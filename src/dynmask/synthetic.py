@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from scipy import ndimage
 
 from . import rng
 from .geometry import CameraModel, pixel_rays
-from .tensor_io import (SceneBundle, read_tensor, save_scene, write_json,
-                        write_tensor)
+from .tensor_io import (SceneBundle, SceneFormatError, read_manifest,
+                        read_stack, save_scene, write_json, write_stack)
 
 RAY_EPS = 1e-6
 PLANE_EPS = 1e-12
@@ -84,6 +85,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.frames < 2:
             raise ValueError(f"frames {self.frames} must be >= 2")
+        if min(self.width, self.height, self.patch, self.noise_tile) < 1:
+            raise ValueError("width, height, patch and noise tile must be >= 1")
         if self.width % self.patch or self.height % self.patch:
             raise ValueError(
                 f"patch {self.patch} must divide {self.width}x{self.height}")
@@ -94,44 +97,26 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SceneSpec":
-        cam = raw.get("camera", {})
-        bg = raw.get("background", {})
-        noise = raw.get("noise", {})
-        attn = raw.get("attention", {})
-        movers = []
-        for i, m in enumerate(raw.get("movers", [])):
-            color = m.get("color", _MOVER_PALETTE[i % len(_MOVER_PALETTE)])
-            shape = m.get("shape", "sphere")
-            if shape not in ("sphere", "box"):
-                raise ValueError(f"unknown mover shape {shape!r}")
-            movers.append(MoverSpec(
-                shape=shape, size=float(m["size"]),
-                start=np.asarray(m["start"], dtype=np.float64),
-                velocity=np.asarray(m.get("velocity", [0, 0, 0]), dtype=np.float64),
-                color=np.asarray(color, dtype=np.float64)))
-        return cls(
-            seed=int(raw.get("seed", 0)),
-            frames=int(raw.get("frames", 8)),
-            width=int(raw.get("width", 96)),
-            height=int(raw.get("height", 72)),
-            patch=int(raw.get("patch", 8)),
-            focal_factor=float(cam.get("focal_factor", 1.2)),
-            baseline=float(cam.get("baseline", 0.18)),
-            yaw_step_deg=float(cam.get("yaw_step_deg", 0.0)),
-            wall_z=float(bg.get("wall_z", 7.0)),
-            floor_y=float(bg.get("floor_y", 1.4)),
-            checker=float(bg.get("checker", 0.5)),
-            movers=movers,
-            depth_sigma=float(noise.get("depth_sigma", 0.0)),
-            high_sigma_factor=float(noise.get("high_sigma_factor", 10.0)),
-            high_fraction=float(noise.get("high_fraction", 0.0)),
-            noise_tile=int(noise.get("tile", 16)),
-            signal_heads=int(attn.get("signal_heads", 2)),
-            noise_heads=int(attn.get("noise_heads", 6)),
-            peak_gain=float(attn.get("peak_gain", 2.0)),
-            noise_base=float(attn.get("noise_base", 0.5)),
-            noise_amp=float(attn.get("noise_amp", 0.6)),
-        )
+        """Parse a JSON spec laid out as ``_SPEC_KEYS`` describes.
+
+        Unknown keys, non-numbers and fractional integers raise ValueError.
+        """
+        _spec_object(raw, "spec",
+                     [*_SPEC_KEYS[""], *filter(None, _SPEC_KEYS), "movers"])
+        kinds = {f.name: f.type for f in fields(cls)}
+        kwargs = {}
+        for section, keys in _SPEC_KEYS.items():
+            part = (_spec_object(raw.get(section, {}), section, keys)
+                    if section else raw)
+            for key in sorted(set(keys) & set(part)):
+                name = "noise_tile" if key == "tile" else key
+                kwargs[name] = _spec_number(
+                    part[key], kinds[name], f"{section}.{key}".lstrip("."))
+        movers = raw.get("movers", [])
+        if not isinstance(movers, list):
+            raise ValueError("spec movers must be a list")
+        return cls(**kwargs, movers=[_mover_from_dict(m, i)
+                                     for i, m in enumerate(movers)])
 
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
@@ -153,6 +138,61 @@ class SceneSpec:
         return cams
 
 
+# spec JSON sections ("" = top level) and the SceneSpec fields they set;
+# the noise section's "tile" sets noise_tile
+_SPEC_KEYS = {
+    "": ("seed", "frames", "width", "height", "patch"),
+    "camera": ("focal_factor", "baseline", "yaw_step_deg"),
+    "background": ("wall_z", "floor_y", "checker"),
+    "noise": ("depth_sigma", "high_sigma_factor", "high_fraction", "tile"),
+    "attention": ("signal_heads", "noise_heads", "peak_gain", "noise_base",
+                  "noise_amp"),
+}
+
+
+def _spec_object(raw, where: str, known) -> dict:
+    """`raw` as a JSON object whose keys all lie in `known`."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"spec {where} must be a JSON object")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValueError(f"unknown spec keys in {where}: {sorted(unknown)}")
+    return raw
+
+
+def _spec_number(value, kind: str, where: str) -> int | float:
+    """A finite JSON number as `kind`: "int" (3 or 3.0, not 3.7) or "float"."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"spec {where} {value!r} must be a finite number")
+    if kind == "int" and not float(value).is_integer():
+        raise ValueError(f"spec {where} {value!r} must be a whole number")
+    return int(value) if kind == "int" else float(value)
+
+
+def _spec_vector(value, where: str) -> np.ndarray:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"spec {where} {value!r} must be 3 numbers")
+    return np.array([_spec_number(v, "float", where) for v in value])
+
+
+def _mover_from_dict(raw, index: int) -> MoverSpec:
+    where = f"movers[{index}]"
+    _spec_object(raw, where, ("shape", "size", "start", "velocity", "color"))
+    if "size" not in raw or "start" not in raw:
+        raise ValueError(f"spec {where} needs 'size' and 'start'")
+    shape = raw.get("shape", "sphere")
+    if shape not in ("sphere", "box"):
+        raise ValueError(f"unknown mover shape {shape!r}")
+    color = raw.get("color", _MOVER_PALETTE[index % len(_MOVER_PALETTE)])
+    return MoverSpec(
+        shape=shape, size=_spec_number(raw["size"], "float", f"{where}.size"),
+        start=_spec_vector(raw["start"], f"{where}.start"),
+        velocity=_spec_vector(raw.get("velocity", [0, 0, 0]),
+                              f"{where}.velocity"),
+        color=_spec_vector(color, f"{where}.color"))
+
+
 @dataclass
 class GroundTruth:
     """Everything the generator knows that the pipeline must not see."""
@@ -163,7 +203,6 @@ class GroundTruth:
     instances: np.ndarray       # (T, H, W) int32, mover index or -1
     mover_positions: np.ndarray  # (num_movers, T, 3)
     sigma_maps: np.ndarray      # (T, H, W) float32, applied noise sigma
-    movers: list[MoverSpec] = field(default_factory=list)
 
     def displacement(self, instance: int, ref_frame: int,
                      tgt_frame: int) -> np.ndarray:
@@ -186,20 +225,12 @@ def _ray_directions(pixels: np.ndarray, cam: CameraModel) -> np.ndarray:
     return pixel_rays(pixels, cam) @ cam.R  # row-vector form of R^T @ d
 
 
-def _intersect_plane_z(origin, dirs, z_value):
-    dz = dirs[:, 2]
+def _intersect_plane(origin, dirs, axis, value):
+    """Ray parameter of each hit with the plane x[axis] = value; inf = miss."""
+    d = dirs[:, axis]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (z_value - origin[2]) / dz
-    s[np.abs(dz) <= PLANE_EPS] = np.inf
-    s[s <= RAY_EPS] = np.inf
-    return s
-
-
-def _intersect_plane_y(origin, dirs, y_value):
-    dy = dirs[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (y_value - origin[1]) / dy
-    s[np.abs(dy) <= PLANE_EPS] = np.inf
+        s = (value - origin[axis]) / d
+    s[np.abs(d) <= PLANE_EPS] = np.inf
     s[s <= RAY_EPS] = np.inf
     return s
 
@@ -256,8 +287,8 @@ def _cast_rays(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
 
     `surface` is "wall" / "floor" / "mover" / "none"; depth 0 means miss.
     """
-    candidates = [("wall", -1, _intersect_plane_z(origin, dirs, spec.wall_z)),
-                  ("floor", -1, _intersect_plane_y(origin, dirs, spec.floor_y))]
+    candidates = [("wall", -1, _intersect_plane(origin, dirs, 2, spec.wall_z)),
+                  ("floor", -1, _intersect_plane(origin, dirs, 1, spec.floor_y))]
     for idx, mover in enumerate(spec.movers):
         pos = mover.positions(spec.frames)[frame]
         if mover.shape == "sphere":
@@ -279,7 +310,6 @@ def _cast_rays(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
         if kind == "mover":
             instance[sel] = idx
         surface[sel] = kind
-    surface[missed] = "none"
     depth = np.where(missed, 0.0, depth)
     points = origin[None, :] + depth[:, None] * dirs
     return depth, instance, surface, points
@@ -421,7 +451,7 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
         instances=instances,
         mover_positions=np.stack([m.positions(t) for m in spec.movers])
         if spec.movers else np.zeros((0, t, 3)),
-        sigma_maps=sigma_maps, movers=spec.movers)
+        sigma_maps=sigma_maps)
 
     if out_dir is not None:
         save_scene(bundle, out_dir)
@@ -430,58 +460,54 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
 
 
 def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:
+    """Write gt.json and its per-frame stacks next to a saved scene."""
     out = Path(out_dir)
-    manifest: dict = {
+    write_json({
         "seed": spec.seed,
         "noise": {"depth_sigma": spec.depth_sigma,
                   "high_sigma_factor": spec.high_sigma_factor,
                   "high_fraction": spec.high_fraction},
-        "movers": [], "true_depths": [], "instances": [], "sigma_maps": [],
-    }
-    for i, mover in enumerate(gt.movers):
-        manifest["movers"].append({
-            "shape": mover.shape, "size": mover.size,
-            "color": [float(v) for v in mover.color],
-            "positions": [[float(v) for v in row]
-                          for row in gt.mover_positions[i]],
-        })
-    for f in range(gt.true_depths.shape[0]):
-        names = (f"gt_depth_{f:04d}.dmt", f"gt_inst_{f:04d}.dmt",
-                 f"gt_sigma_{f:04d}.dmt")
-        write_tensor(gt.true_depths[f], out / names[0])
-        write_tensor(gt.instances[f].astype(np.float32), out / names[1])
-        write_tensor(gt.sigma_maps[f], out / names[2])
-        manifest["true_depths"].append(names[0])
-        manifest["instances"].append(names[1])
-        manifest["sigma_maps"].append(names[2])
-    write_json(manifest, out / "gt.json")
+        "movers": [{"shape": mover.shape, "size": mover.size,
+                    "color": [float(v) for v in mover.color],
+                    "positions": [[float(v) for v in row] for row in track]}
+                   for mover, track in zip(spec.movers, gt.mover_positions)],
+        "true_depths": write_stack(gt.true_depths, out, "gt_depth"),
+        "instances": write_stack(gt.instances.astype(np.float32), out,
+                                 "gt_inst"),
+        "sigma_maps": write_stack(gt.sigma_maps, out, "gt_sigma"),
+    }, out / "gt.json")
 
 
 def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
-    """Reload the ground truth saved next to a scene bundle."""
-    root = Path(scene_dir)
-    with open(root / "gt.json", "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    true_depths = np.stack([read_tensor(root / n) for n in manifest["true_depths"]])
-    instances = np.stack([read_tensor(root / n) for n in manifest["instances"]]
-                         ).astype(np.int32)
-    sigma_maps = np.stack([read_tensor(root / n) for n in manifest["sigma_maps"]])
-    movers = []
-    positions = []
-    for m in manifest["movers"]:
-        movers.append(MoverSpec(
-            shape=m["shape"], size=float(m["size"]),
-            start=np.asarray(m["positions"][0], dtype=np.float64),
-            velocity=np.zeros(3), color=np.asarray(m["color"])))
-        positions.append(np.asarray(m["positions"], dtype=np.float64))
+    """Reload the ground truth saved next to a scene bundle.
+
+    Every stack must match the bundle's (T, H, W) and the mover positions
+    must be (M, T, 3); anything else raises SceneFormatError.
+    """
     if bundle.gt_masks is None or bundle.gt_cameras is None:
-        raise ValueError("bundle carries no ground-truth masks/cameras")
+        raise SceneFormatError("bundle carries no ground-truth masks/cameras")
+    root = Path(scene_dir)
+    manifest = read_manifest(root / "gt.json")
+    t, hw = bundle.frames, (bundle.height, bundle.width)
+    true_depths, instances, sigma_maps = (
+        read_stack(root, manifest, key, t, hw)
+        for key in ("true_depths", "instances", "sigma_maps"))
+    movers = manifest.get("movers")
+    if not isinstance(movers, list):
+        raise SceneFormatError("gt.json movers is missing or not a list")
+    want = (len(movers), t, 3)
+    try:
+        positions = np.array([m["positions"] for m in movers]
+                             or np.zeros(want), dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SceneFormatError(f"gt.json movers: {exc!r}") from exc
+    if positions.shape != want:
+        raise SceneFormatError(f"gt.json mover positions shape "
+                               f"{positions.shape} != {want}")
     return GroundTruth(
         masks=bundle.gt_masks, cameras=bundle.gt_cameras,
-        true_depths=true_depths, instances=instances,
-        mover_positions=np.stack(positions) if positions
-        else np.zeros((0, true_depths.shape[0], 3)),
-        sigma_maps=sigma_maps, movers=movers)
+        true_depths=true_depths, instances=instances.astype(np.int32),
+        mover_positions=positions, sigma_maps=sigma_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +528,9 @@ def corrupt(bundle: SceneBundle, occluder_fraction: float = 0.0,
     center).  Each injection therefore yields exactly one 3-D point with no
     surface around it, which the density filter should treat as noise.
     """
-    out = SceneBundle(
-        images=bundle.images.copy(), depths=bundle.depths.copy(),
-        confidence_logits=bundle.confidence_logits.copy(),
-        attention=bundle.attention.copy(), cameras=list(bundle.cameras),
-        patch=bundle.patch,
-        gt_masks=None if bundle.gt_masks is None else bundle.gt_masks.copy(),
-        gt_cameras=None if bundle.gt_cameras is None
-        else list(bundle.gt_cameras))
+    # only the depth and attention stacks are written below
+    out = replace(bundle, depths=bundle.depths.copy(),
+                  attention=bundle.attention.copy())
     t, h, w = out.frames, out.height, out.width
 
     if occluder_fraction > 0:
@@ -598,14 +619,3 @@ def corpus_specs(count: int = 20, frames: int = 6, width: int = 96,
             seed=k, frames=frames, width=width, height=height, patch=8,
             movers=movers, depth_sigma=0.02, high_fraction=0.25))
     return specs
-
-
-def count_injected_cells(bundle: SceneBundle, corrupted: SceneBundle
-                         ) -> list[tuple[int, int, int]]:
-    """Locate (frame, row, col) attention cells changed by corruption."""
-    diff = (bundle.attention != corrupted.attention).any(axis=1)
-    hits = []
-    for f in range(bundle.frames):
-        for pi, pj in zip(*np.nonzero(diff[f])):
-            hits.append((f, int(pi), int(pj)))
-    return hits

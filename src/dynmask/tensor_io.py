@@ -10,7 +10,11 @@ Everything on disk goes through two formats:
 
 A scene directory is self-describing: a ``scene.json`` manifest names every
 tensor file plus the camera parameters, so a bundle can be diffed, copied,
-or regenerated file by file.
+or regenerated file by file.  Every per-frame stack, in ``scene.json`` and
+in the generator's ``gt.json`` alike, is one file per frame named
+``<prefix>_<frame:04d>.<ext>`` and listed under the stack's manifest key;
+:func:`write_stack` and :func:`read_stack` are the only code that writes
+and checks that layout.
 """
 
 from __future__ import annotations
@@ -245,21 +249,105 @@ def _camera_to_json(cam: CameraModel) -> dict:
     }
 
 
-def _camera_from_json(entry: dict) -> CameraModel:
-    r = np.asarray(entry["R"], dtype=np.float64)
-    if r.size != 9:
-        raise SceneFormatError(f"camera R has {r.size} entries, wanted 9")
-    t = np.asarray(entry["t"], dtype=np.float64)
-    if t.size != 3:
-        raise SceneFormatError(f"camera t has {t.size} entries, wanted 3")
+def _camera_from_json(entry) -> CameraModel:
+    if not isinstance(entry, dict):
+        raise SceneFormatError(f"camera entry {entry!r} is not an object")
+    missing = [k for k in ("fx", "fy", "cx", "cy", "R", "t") if k not in entry]
+    if missing:
+        raise SceneFormatError(f"camera missing {missing}")
     try:
         return CameraModel(
             fx=float(entry["fx"]), fy=float(entry["fy"]),
             cx=float(entry["cx"]), cy=float(entry["cy"]),
-            R=r.reshape(3, 3), t=t,
+            R=np.asarray(entry["R"], dtype=np.float64).reshape(3, 3),
+            t=entry["t"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"invalid camera: {exc}") from exc
+
+
+def _cameras_from_json(manifest: dict, key: str) -> list[CameraModel]:
+    entries = manifest.get(key)
+    if not isinstance(entries, list):
+        raise SceneFormatError(f"manifest {key} is not a list of cameras")
+    return [_camera_from_json(c) for c in entries]
+
+
+def _manifest_count(manifest: dict, key: str) -> int:
+    """A required positive whole number; 8 and 8.0 both pass."""
+    value = manifest.get(key)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < 1):
+        raise SceneFormatError(
+            f"manifest {key} {value!r} is not a positive whole number")
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
+# per-frame stacks: the one on-disk layout of scene.json and gt.json
+# ---------------------------------------------------------------------------
+
+def read_manifest(path: Path) -> dict:
+    """Parse a JSON manifest that must hold one object."""
+    if not path.is_file():
+        raise SceneFormatError(f"missing manifest {path}")
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise SceneFormatError(f"{path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SceneFormatError(f"{path} does not hold a JSON object")
+    return manifest
+
+
+def write_stack(stack: np.ndarray, out_dir: Path, prefix: str,
+                ext: str = "dmt") -> list[str]:
+    """Write frame f of `stack` to ``<prefix>_<f:04d>.<ext>``.
+
+    ``pgm`` frames are masks.  Returns the names for the manifest's list.
+    """
+    write = write_pgm if ext == "pgm" else write_tensor
+    names = [f"{prefix}_{f:04d}.{ext}" for f in range(len(stack))]
+    for frame, name in zip(stack, names):
+        write(frame, out_dir / name)
+    return names
+
+
+def read_stack(root: Path, manifest: dict, key: str, frames: int,
+               frame_shape: tuple[int, ...] | None = None,
+               ext: str = "dmt") -> np.ndarray:
+    """Read the stack `manifest[key]` lists; inverse of write_stack.
+
+    The list must name one existing file per frame, all of one shape
+    (`frame_shape` when given).  PGM frames come back as bool masks.
+    """
+    names = manifest.get(key)
+    if not isinstance(names, list) or not all(isinstance(n, str)
+                                              for n in names):
+        raise SceneFormatError(
+            f"manifest {key!r} is missing or not a list of file names")
+    if len(names) != frames:
+        raise SceneFormatError(f"{len(names)} {key} for {frames} frames")
+    arrays = []
+    for name in names:
+        path = root / name
+        if not path.is_file():
+            raise SceneFormatError(f"missing {key} file {path}")
+        arrays.append(read_pgm(path) > 127 if ext == "pgm"
+                      else read_tensor(path))
+    want = arrays[0].shape if frame_shape is None else frame_shape
+    for name, arr in zip(names, arrays):
+        if arr.shape != want:
+            raise SceneFormatError(f"{key} file {name} shape {arr.shape} "
+                                   f"!= {want}")
+    return np.stack(arrays)
+
+
+# (bundle field, manifest key, file prefix) of each scene.json tensor stack
+_SCENE_STACKS = (("images", "images", "img"), ("depths", "depths", "depth"),
+                 ("confidence_logits", "confidences", "conf"),
+                 ("attention", "attentions", "attn"))
 
 
 def save_scene(bundle: SceneBundle, out_dir: str | Path) -> None:
@@ -267,98 +355,43 @@ def save_scene(bundle: SceneBundle, out_dir: str | Path) -> None:
     validate_bundle(bundle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t = bundle.frames
-
     manifest: dict = {
-        "frames": t,
-        "height": bundle.height,
-        "width": bundle.width,
-        "heads": bundle.heads,
-        "patch": bundle.patch,
-        "images": [], "depths": [], "confidences": [], "attentions": [],
+        "frames": bundle.frames, "height": bundle.height,
+        "width": bundle.width, "heads": bundle.heads, "patch": bundle.patch,
         "cameras": [_camera_to_json(c) for c in bundle.cameras],
     }
-    for f in range(t):
-        names = (f"img_{f:04d}.dmt", f"depth_{f:04d}.dmt",
-                 f"conf_{f:04d}.dmt", f"attn_{f:04d}.dmt")
-        write_tensor(bundle.images[f], out / names[0])
-        write_tensor(bundle.depths[f], out / names[1])
-        write_tensor(bundle.confidence_logits[f], out / names[2])
-        write_tensor(bundle.attention[f], out / names[3])
-        manifest["images"].append(names[0])
-        manifest["depths"].append(names[1])
-        manifest["confidences"].append(names[2])
-        manifest["attentions"].append(names[3])
-
+    for field, key, prefix in _SCENE_STACKS:
+        manifest[key] = write_stack(getattr(bundle, field), out, prefix)
     if bundle.gt_masks is not None:
-        manifest["gt_masks"] = []
-        for f in range(t):
-            name = f"gt_mask_{f:04d}.pgm"
-            write_pgm(bundle.gt_masks[f].astype(bool), out / name)
-            manifest["gt_masks"].append(name)
+        manifest["gt_masks"] = write_stack(
+            bundle.gt_masks.astype(bool, copy=False), out, "gt_mask", "pgm")
     if bundle.gt_cameras is not None:
         manifest["gt_cameras"] = [_camera_to_json(c) for c in bundle.gt_cameras]
-
     write_json(manifest, out / "scene.json")
 
 
 def load_scene(scene_dir: str | Path) -> SceneBundle:
     """Load and fully validate a scene bundle from a directory."""
     root = Path(scene_dir)
-    manifest_path = root / "scene.json"
-    if not manifest_path.is_file():
-        raise SceneFormatError(f"missing manifest {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-
-    for key in ("frames", "height", "width", "heads", "patch",
-                "images", "depths", "confidences", "attentions", "cameras"):
-        if key not in manifest:
-            raise SceneFormatError(f"manifest missing key {key!r}")
-    t = int(manifest["frames"])
-    for key in ("images", "depths", "confidences", "attentions"):
-        if len(manifest[key]) != t:
-            raise SceneFormatError(f"{len(manifest[key])} {key} for {t} frames")
-
-    def _stack(names: list[str]) -> np.ndarray:
-        tensors = []
-        for name in names:
-            p = root / name
-            if not p.is_file():
-                raise SceneFormatError(f"missing tensor file {p}")
-            tensors.append(read_tensor(p))
-        first = tensors[0].shape
-        for name, arr in zip(names, tensors):
-            if arr.shape != first:
-                raise SceneFormatError(
-                    f"{name} shape {arr.shape} != {first} of {names[0]}")
-        return np.stack(tensors)
-
-    images = _stack(manifest["images"])
-    depths = _stack(manifest["depths"])
-    confidences = _stack(manifest["confidences"])
-    attention = _stack(manifest["attentions"])
-    cameras = [_camera_from_json(c) for c in manifest["cameras"]]
-
-    gt_masks = None
-    if "gt_masks" in manifest:
-        stack = []
-        for name in manifest["gt_masks"]:
-            p = root / name
-            if not p.is_file():
-                raise SceneFormatError(f"missing gt mask {p}")
-            stack.append(read_pgm(p) > 127)
-        gt_masks = np.stack(stack)
-    gt_cameras = None
-    if "gt_cameras" in manifest:
-        gt_cameras = [_camera_from_json(c) for c in manifest["gt_cameras"]]
-
+    manifest = read_manifest(root / "scene.json")
+    t, height, width, heads, patch = (
+        _manifest_count(manifest, key)
+        for key in ("frames", "height", "width", "heads", "patch"))
+    stacks = {field: read_stack(root, manifest, key, t)
+              for field, key, _ in _SCENE_STACKS}
     bundle = SceneBundle(
-        images=images, depths=depths, confidence_logits=confidences,
-        attention=attention, cameras=cameras, patch=int(manifest["patch"]),
-        gt_masks=gt_masks, gt_cameras=gt_cameras,
+        **stacks, cameras=_cameras_from_json(manifest, "cameras"),
+        patch=patch,
+        gt_masks=read_stack(root, manifest, "gt_masks", t, ext="pgm")
+        if "gt_masks" in manifest else None,
+        gt_cameras=_cameras_from_json(manifest, "gt_cameras")
+        if "gt_cameras" in manifest else None,
     )
     validate_bundle(bundle)
+    if (bundle.height, bundle.width, bundle.heads) != (height, width, heads):
+        raise SceneFormatError(
+            f"manifest height, width, heads {(height, width, heads)} != "
+            f"tensors' {(bundle.height, bundle.width, bundle.heads)}")
     return bundle
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynmask.attention import (SaliencyMap, aggregate, binarize,
-                               effective_weights, head_variance, head_weights)
+                               effective_weights, head_variance)
 
 
 class TestHeadVariance:
@@ -33,37 +33,25 @@ class TestHeadVariance:
             head_variance(np.zeros((0, 3)))
 
 
-class TestHeadWeights:
+class TestEffectiveWeights:
     def test_proportional_to_variance(self):
-        # variances 3 and 1 with tiny eps: weights approach 0.75 / 0.25
+        # variances 3 and 1: weights 0.75 / 0.25
         a = np.array([[0.0, 2 * np.sqrt(3)]])  # variance 3
         b = np.array([[0.0, 2.0]])             # variance 1
-        w = head_weights(np.stack([a, b]), eps=1e-15)
+        w = effective_weights(np.stack([a, b]), eps=1e-15)
         np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-9)
-
-    def test_all_constant_heads_zero(self):
-        maps = np.ones((4, 3, 3))
-        np.testing.assert_array_equal(head_weights(maps), np.zeros(4))
-
-    def test_sum_strictly_below_one(self):
-        gen = np.random.default_rng(2)
-        maps = gen.random((5, 8, 8))
-        w = head_weights(maps, eps=1e-8)
-        assert 0.0 < w.sum() < 1.0
 
     def test_permutation_equivariance(self):
         gen = np.random.default_rng(3)
         maps = gen.random((6, 4, 7))
         perm = gen.permutation(6)
-        np.testing.assert_allclose(head_weights(maps)[perm],
-                                   head_weights(maps[perm]), atol=1e-15)
+        np.testing.assert_allclose(effective_weights(maps)[perm],
+                                   effective_weights(maps[perm]), atol=1e-15)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
-            head_weights(np.ones((1, 2, 2)), eps=0.0)
+            effective_weights(np.ones((1, 2, 2)), eps=0.0)
 
-
-class TestEffectiveWeights:
     def test_sum_to_one(self):
         gen = np.random.default_rng(4)
         w = effective_weights(gen.random((7, 5, 5)))
@@ -129,6 +117,12 @@ class TestAggregate:
         a = aggregate(maps)
         b = aggregate(maps.copy())
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 4), (0, 3, 3)])
+    def test_bad_stack_shape_rejected(self, shape, weighted):
+        with pytest.raises(ValueError, match="head stack shape"):
+            aggregate(np.ones(shape), weighted=weighted)
 
 
 class TestBinarize:

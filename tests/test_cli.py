@@ -126,6 +126,18 @@ class TestGenerate:
         assert main(["generate", str(bad), "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("change", [
+        {"movers": [{"shape": "sphere", "start": [0, 0, 3]}]},
+        {"noise": {"depth_sigma": 0.02, "high_frac": 0.25}},
+        {"frames": 3.7},
+    ], ids=["mover-without-size", "unknown-key", "fractional-frames"])
+    def test_malformed_spec_is_data_error(self, tmp_path, capsys, change):
+        path = _write_spec(tmp_path / "spec.json", dict(SPEC, **change))
+        out = tmp_path / "o"
+        assert main(["generate", path, "--out", str(out)]) == 2
+        assert "dynmask generate: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_mover_shape(self, tmp_path, capsys):
         spec = dict(SPEC, movers=[{"shape": "pyramid", "size": 1.0,
                                    "start": [0, 0, 3]}])
@@ -237,6 +249,16 @@ class TestMask:
         assert "error: MemoryError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["R", "fx"])
+    def test_camera_missing_field(self, tmp_path, scene_dir, capsys, field):
+        bad = tmp_path / "bad"
+        shutil.copytree(scene_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        del manifest["cameras"][1][field]
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        assert main(["mask", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "dynmask mask: error: camera missing" in capsys.readouterr().err
+
     def test_missing_scene(self, tmp_path, capsys):
         assert main(["mask", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "out")]) == 2
@@ -302,6 +324,33 @@ class TestEval:
             raw[:-1] if cut < 0 else raw + b"\0")
         assert main(["eval", str(broken), str(scene_dir)]) == 2
         assert "body has" in capsys.readouterr().err
+
+
+# malformed gt.json directories: (gt.json manifest, scene directory) -> None
+GT_BREAKAGES = {
+    "missing-key": lambda gt, root: gt.pop("sigma_maps"),
+    "short-list": lambda gt, root: gt["instances"].pop(),
+    "missing-file": lambda gt, root: (root / gt["true_depths"][1]).unlink(),
+    "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
+                                  for name in gt["true_depths"]],
+    "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(GT_BREAKAGES))
+@pytest.mark.parametrize("command", ["eval", "residuals"])
+def test_malformed_ground_truth_is_data_error(tmp_path, scene_dir, pred_dir,
+                                              capsys, command, breakage):
+    broken = tmp_path / "scene"
+    shutil.copytree(scene_dir, broken)
+    manifest = json.loads((broken / "gt.json").read_text())
+    GT_BREAKAGES[breakage](manifest, broken)
+    (broken / "gt.json").write_text(json.dumps(manifest))
+    argv = ([command, str(pred_dir), str(broken), "--out",
+             str(tmp_path / "report.json")] if command == "eval"
+            else [command, str(broken), "--out", str(tmp_path / "res")])
+    assert main(argv) == 2
+    assert f"dynmask {command}: error:" in capsys.readouterr().err
 
 
 class TestResiduals:

@@ -7,6 +7,9 @@ displacement is known exactly.
 """
 
 import hashlib
+import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +20,17 @@ from dynmask import attention, crossview, purification, synthetic
 from dynmask.geometry import (project_dynamic_world_batch, project_points,
                               project_rigid_batch, unproject_pixels)
 from dynmask.synthetic import (GroundTruth, MoverSpec, SceneSpec, cast_depth,
-                               corrupt, count_injected_cells, generate,
-                               load_ground_truth)
-from dynmask.tensor_io import load_scene, validate_bundle
+                               corrupt, generate, load_ground_truth)
+from dynmask.tensor_io import (SceneFormatError, load_scene, validate_bundle,
+                               write_tensor)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def count_injected_cells(bundle, corrupted):
+    """(frame, row, col) of every attention cell corruption changed."""
+    diff = (bundle.attention != corrupted.attention).any(axis=1)
+    return [(int(f), int(i), int(j)) for f, i, j in zip(*np.nonzero(diff))]
 
 
 def _static_spec(seed=0, frames=5):
@@ -62,6 +73,55 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             SceneSpec.from_dict({"movers": [{"shape": "torus", "size": 1,
                                              "start": [0, 0, 3]}]})
+
+    @pytest.mark.parametrize("missing", ["size", "start"])
+    def test_mover_missing_required_key(self, missing):
+        mover = {"shape": "sphere", "size": 0.3, "start": [0, 0, 3]}
+        del mover[missing]
+        with pytest.raises(ValueError, match=missing):
+            SceneSpec.from_dict({"movers": [mover]})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"frame": 3}, "frame"),
+        ({"noise": {"depth_sigma": 0.02, "high_frac": 0.25}}, "high_frac"),
+        ({"camera": {"focal": 1.5}}, "focal"),
+        ({"movers": [{"size": 0.3, "start": [0, 0, 3], "speed": [1, 0, 0]}]},
+         "speed"),
+    ], ids=["top", "section", "camera", "mover"])
+    def test_unknown_key_rejected(self, raw, key):
+        with pytest.raises(ValueError, match=key):
+            SceneSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [
+        {"frames": 3.7}, {"width": 96.5}, {"noise": {"tile": 8.5}},
+        {"attention": {"noise_heads": 2.2}},
+    ], ids=["frames", "width", "noise-tile", "noise-heads"])
+    def test_fractional_integer_rejected(self, raw):
+        with pytest.raises(ValueError, match="whole number"):
+            SceneSpec.from_dict(raw)
+
+    def test_whole_float_integer_accepted(self):
+        spec = SceneSpec.from_dict({"frames": 3.0, "noise": {"tile": 8.0}})
+        assert spec.frames == 3 and type(spec.frames) is int
+        assert spec.noise_tile == 8 and type(spec.noise_tile) is int
+
+    @pytest.mark.parametrize("raw", [
+        {"frames": "3"}, {"seed": True}, {"camera": {"baseline": None}},
+        {"noise": {"depth_sigma": float("nan")}}, {"camera": []},
+        {"movers": [{"size": 0.3, "start": [0, 3]}]},
+        {"movers": [{"size": 0.3, "start": [0, 0, 3], "color": "red"}]},
+        {"movers": {}}, [],
+    ], ids=["string", "bool", "null", "nan", "section-list", "short-start",
+            "color-string", "movers-object", "spec-list"])
+    def test_malformed_value_rejected(self, raw):
+        with pytest.raises(ValueError):
+            SceneSpec.from_dict(raw)
+
+    def test_readme_example_parses(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        spec = SceneSpec.from_dict(json.loads(example))
+        assert spec.frames == 6 and len(spec.movers) == 1
 
     def test_default_palette_assigns_colors(self):
         raw = {"movers": [{"shape": "sphere", "size": 0.3, "start": [0, 0, 3]},
@@ -358,7 +418,44 @@ class TestDeterminism:
         gt2 = load_ground_truth(tmp_path, loaded)
         np.testing.assert_array_equal(gt2.true_depths, gt.true_depths)
         np.testing.assert_array_equal(gt2.instances, gt.instances)
-        np.testing.assert_allclose(gt2.mover_positions, gt.mover_positions)
+        np.testing.assert_array_equal(gt2.sigma_maps, gt.sigma_maps)
+        np.testing.assert_array_equal(gt2.mover_positions, gt.mover_positions)
+
+
+# malformed gt.json directories: (gt.json manifest, scene directory) -> None
+_GT_BREAKAGES = {
+    "missing-key": lambda gt, root: gt.pop("sigma_maps"),
+    "short-list": lambda gt, root: gt["instances"].pop(),
+    "missing-file": lambda gt, root: (root / gt["true_depths"][1]).unlink(),
+    "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
+                                  for name in gt["true_depths"]],
+    "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
+}
+
+
+class TestGroundTruthChecks:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gt") / "scene"
+        generate(_mover_spec(seed=3, frames=4), root)
+        return root
+
+    @pytest.mark.parametrize("breakage", sorted(_GT_BREAKAGES))
+    def test_malformed_ground_truth_rejected(self, scene, tmp_path,
+                                             breakage):
+        broken = tmp_path / "scene"
+        shutil.copytree(scene, broken)
+        manifest = json.loads((broken / "gt.json").read_text())
+        _GT_BREAKAGES[breakage](manifest, broken)
+        (broken / "gt.json").write_text(json.dumps(manifest))
+        with pytest.raises(SceneFormatError):
+            load_ground_truth(broken, load_scene(broken))
+
+    def test_bundle_without_ground_truth_rejected(self, scene):
+        bundle = load_scene(scene)
+        bundle.gt_masks = None
+        with pytest.raises(SceneFormatError, match="ground-truth"):
+            load_ground_truth(scene, bundle)
 
 
 class TestCorrupt:

@@ -1,5 +1,7 @@
 """Round-trip and rejection tests for the tensor container and scene bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,9 @@ class TestPnm:
                                       [[0, 255], [255, 0]])
 
 
+DROP = object()  # marks a manifest entry to delete
+
+
 def _tiny_bundle(frames=2, h=8, w=12, heads=3, patch=4, seed=0):
     gen = np.random.default_rng(seed)
     cams = [CameraModel(fx=10.0, fy=10.0, cx=w / 2, cy=h / 2,
@@ -244,6 +249,55 @@ class TestSceneBundle:
         save_scene(bundle, tmp_path / "scene")
         (tmp_path / "scene" / "depth_0001.dmt").unlink()
         with pytest.raises(SceneFormatError, match="missing"):
+            load_scene(tmp_path / "scene")
+
+    @pytest.mark.parametrize("where, value, match", [
+        (("attentions",), DROP, "attentions"),
+        (("depths", 1), DROP, "1 depths for 2 frames"),
+        (("images", 1), 7, "images"),
+        (("gt_masks", 1), DROP, "gt_masks"),
+        (("frames",), "2", "frames"),
+        (("patch",), 2.5, "patch"),
+        (("heads",), DROP, "heads"),
+        (("height",), 16, "height"),
+        (("cameras",), {}, "cameras"),
+        (("cameras", 0), [1, 2], "camera"),
+        (("cameras", 0, "t"), DROP, "camera missing"),
+        (("cameras", 0, "fx"), None, "camera"),
+        (("cameras", 0, "R"), [1.0] * 8, "camera"),
+        (("gt_cameras", 1, "cy"), DROP, "camera missing"),
+    ], ids=["missing-stack", "short-stack", "non-string-name",
+            "short-gt-masks", "frames-string", "patch-fraction",
+            "missing-heads", "height-mismatch", "cameras-object",
+            "camera-list", "camera-no-t", "camera-fx-null", "camera-short-R",
+            "gt-camera-no-cy"])
+    def test_malformed_manifest_rejected(self, tmp_path, where, value, match):
+        save_scene(_tiny_bundle(), tmp_path / "scene")
+        path = tmp_path / "scene" / "scene.json"
+        manifest = json.loads(path.read_text())
+        parent = manifest
+        for key in where[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SceneFormatError, match=match):
+            load_scene(tmp_path / "scene")
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
+                             ids=["not-json", "list"])
+    def test_manifest_not_an_object(self, tmp_path, text):
+        save_scene(_tiny_bundle(), tmp_path / "scene")
+        (tmp_path / "scene" / "scene.json").write_text(text)
+        with pytest.raises(SceneFormatError, match="scene.json"):
+            load_scene(tmp_path / "scene")
+
+    def test_frames_of_one_stack_differ_in_shape(self, tmp_path):
+        save_scene(_tiny_bundle(), tmp_path / "scene")
+        write_tensor(np.ones((8, 6)), tmp_path / "scene" / "conf_0001.dmt")
+        with pytest.raises(SceneFormatError, match="conf_0001.dmt shape"):
             load_scene(tmp_path / "scene")
 
     def test_manifest_is_sorted_json(self, tmp_path):
