@@ -176,18 +176,16 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
 def close_masks(masks: np.ndarray) -> np.ndarray:
     """One 3x3 closing pass per frame: dilate, then erode.
 
-    The frame is padded with one ring of background first so the closing
+    Each frame is padded with one ring of background first so the closing
     behaves as if computed on an infinite plane: blobs touching the image
-    edge are neither eaten nor artificially extended to the border.
+    edge are neither eaten nor artificially extended to the border.  The
+    (1, 3, 3) structure closes the whole stack at once, frame by frame.
     """
-    structure = np.ones((3, 3), dtype=bool)
-    out = np.zeros_like(masks, dtype=bool)
-    for f in range(masks.shape[0]):
-        padded = np.pad(masks[f], 1)
-        grown = ndimage.binary_dilation(padded, structure=structure)
-        closed = ndimage.binary_erosion(grown, structure=structure)
-        out[f] = closed[1:-1, 1:-1]
-    return out
+    structure = np.ones((1, 3, 3), dtype=bool)
+    padded = np.pad(np.asarray(masks, dtype=bool), ((0, 0), (1, 1), (1, 1)))
+    grown = ndimage.binary_dilation(padded, structure=structure)
+    closed = ndimage.binary_erosion(grown, structure=structure)
+    return np.ascontiguousarray(closed[:, 1:-1, 1:-1])
 
 
 def refine_masks(cloud: DynamicPointCloud, bundle: SceneBundle,

@@ -6,9 +6,15 @@ A point survives iff at least `tau` other points sit within an adaptive
 radius (2% of the cloud's bounding-box diagonal by default).  Counting is
 one-shot against the pre-filter cloud, never iterative.
 
-The test is exact without scanning pairs: a grid of cell edge r/2 keeps
-every point of a cell holding more than `tau` points outright (the DBSCAN
-core-cell shortcut), and a k-d tree counts the neighbors of the rest.
+The test is exact without scanning pairs: the grid decides, the tree
+counts the undecided.  On a grid of cell edge r/2, a point's own cell and
+every adjacent cell whose far corner lies within r of it hold only
+neighbours, so their sizes add up to a lower bound on its count; a point
+whose bound exceeds `tau` is kept with no distance measured.  The far
+corner must clear r by a relative margin of 1e-6 on the squared distance,
+which dwarfs the rounding in the cell keys (under 2**-31 cells while the
+grid spans at most 2**20 cells an axis), so no point just beyond r is
+counted.  A k-d tree counts the neighbours of the points left open.
 Memory stays linear in the number of points.
 """
 
@@ -69,9 +75,11 @@ def build_index(cloud: DynamicPointCloud, r: float) -> cKDTree:
     """k-d tree over the alive points of a cloud, for `radius_neighbors`.
 
     `r` is accepted for call-site symmetry with `radius_neighbors`; a k-d
-    tree answers any radius.
+    tree answers any radius.  Counts do not depend on the tree's shape, and
+    sliding-midpoint splits build in about half the time of median splits
+    on an 870k-point lifted cloud.
     """
-    return cKDTree(cloud.positions[cloud.alive])
+    return cKDTree(cloud.positions[cloud.alive], balanced_tree=False)
 
 
 def radius_neighbors(cloud: DynamicPointCloud, index: cKDTree,
@@ -135,24 +143,53 @@ def scene_diagonal(cloud: DynamicPointCloud) -> float:
     return float(np.linalg.norm(span))
 
 
-def _outright_alive(positions: np.ndarray, r: float, tau: int) -> np.ndarray:
-    """Points whose grid cell of edge r/2 holds at least tau + 1 points.
+# the 26 cells around a cell, as (dx, dy, dz) offsets in cells
+_NEIGHBOUR_CELLS = np.array([(dx, dy, dz) for dx in (-1, 0, 1)
+                             for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                             if dx or dy or dz])
+# a cell counts when its far corner is within r by this relative margin on
+# the squared distance; key rounding moves each point by under 2**-31 cells
+# (coordinates stay below 2**20 cells), orders of magnitude less
+_FAR_CORNER_MARGIN = 1e-6
 
-    Two points in one such cell are less than r*sqrt(3)/2 apart, so each of
-    them has at least tau neighbors within r without measuring any pair.
-    The margin to r (13%) dwarfs the rounding in the cell keys.  A grid too
-    fine to key (over 2**20 cells along an axis) decides nothing.
+
+def _outright_alive(positions: np.ndarray, r: float, tau: int) -> np.ndarray:
+    """Points the grid of cell edge r/2 proves to have tau neighbors within r.
+
+    Every point of a cell lies within its far corner's distance, so the
+    points of the own cell and of each adjacent cell whose far corner is
+    within r (the own cell always is: r*sqrt(3)/2) are a lower bound on a
+    point's neighbours, self included.  A point is kept when that bound
+    exceeds tau; the rest are left for `radius_neighbors`.  A grid too fine
+    to key (over 2**20 cells along an axis) decides nothing.
     """
     cell = r / 2
     shifted = (positions - positions.min(axis=0)) / cell
-    if not shifted.max() < 2 ** 20:  # also catches NaN
+    top = shifted.max(axis=0)
+    if not top.max() < 2 ** 20:  # also catches NaN
         return np.zeros(len(positions), dtype=bool)
-    keys = np.floor(shifted).astype(np.int64)
-    dims = keys.max(axis=0) + 1
-    flat = (keys[:, 0] * dims[1] + keys[:, 1]) * dims[2] + keys[:, 2]
-    _, inverse, sizes = np.unique(flat, return_inverse=True,
-                                  return_counts=True)
-    return sizes[inverse] > tau
+    # one empty layer of cells on every side keeps neighbour keys distinct
+    dims = top.astype(np.int64) + 3
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    flat = (np.floor(shifted).astype(np.int64) + 1) @ strides
+    cells, inverse, sizes = np.unique(flat, return_inverse=True,
+                                      return_counts=True)
+    bound = sizes[inverse]
+    open_ = np.flatnonzero(bound <= tau)
+    frac = shifted[open_] % 1
+    # squared far-corner reach along one axis in cells, for offsets -1, 0, 1
+    reach = np.stack([1 + frac, np.maximum(frac, 1 - frac), 2 - frac]) ** 2
+    limit = 4 * (1 - _FAR_CORNER_MARGIN)  # r is 2 cells
+    for offset in _NEIGHBOUR_CELLS:
+        far = (reach[offset[0] + 1, :, 0] + reach[offset[1] + 1, :, 1]
+               + reach[offset[2] + 1, :, 2])
+        within = open_[far <= limit]
+        target = flat[within] + offset @ strides
+        at = np.searchsorted(cells, target)
+        at[at == len(cells)] = 0
+        hit = cells[at] == target
+        bound[within[hit]] += sizes[at[hit]]
+    return bound > tau
 
 
 def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
@@ -174,7 +211,9 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
     if not np.isfinite(r):
         raise ValueError(f"purification radius {r} must be finite")
     alive_ids = np.flatnonzero(out.alive)
-    if len(alive_ids) == 0:
+    if len(alive_ids) <= tau:
+        # no point has tau others, so no grid or index is needed
+        out.alive[alive_ids] = False
         return out
     positions = out.positions[alive_ids]
     if r <= 0:

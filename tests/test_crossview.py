@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from dynmask import crossview, synthetic
 from dynmask.crossview import (activate_confidence, bilinear_sample,
@@ -459,7 +460,34 @@ class TestScoreCloud:
         assert scores.sum() == 0.0
 
 
+def _close_masks_per_frame(masks):
+    """Reference: pad, dilate and erode each frame on its own."""
+    structure = np.ones((3, 3), dtype=bool)
+    out = np.zeros_like(masks, dtype=bool)
+    for f in range(masks.shape[0]):
+        padded = np.pad(masks[f], 1)
+        grown = ndimage.binary_dilation(padded, structure=structure)
+        closed = ndimage.binary_erosion(grown, structure=structure)
+        out[f] = closed[1:-1, 1:-1]
+    return out
+
+
 class TestCloseMasks:
+    def test_stack_matches_per_frame_closing(self):
+        # random blobs, some touching the image edges, on frames that
+        # differ: the one-call closing must not mix neighbouring frames
+        gen = np.random.default_rng(21)
+        m = gen.random((8, 60, 80)) > 0.7
+        m = ndimage.binary_opening(m, structure=np.ones((1, 2, 2), bool))
+        m[:, 0, 10:30] = True
+        m[::2, 20:40, -1] = True
+        m[3] = False
+        m[5] = True
+        out = close_masks(m)
+        np.testing.assert_array_equal(out, _close_masks_per_frame(m))
+        assert out.dtype == bool and out.flags.c_contiguous
+        assert not out[3].any() and out[5].all()
+
     def test_fills_single_hole(self):
         m = np.zeros((1, 7, 7), bool)
         m[0, 2:5, 2:5] = True

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dynmask import purification
 from dynmask.geometry import CameraModel, project_points
 from dynmask.purification import (DynamicPointCloud, _outright_alive,
                                   build_index, mask_from_cloud, purify,
@@ -39,6 +40,27 @@ def _brute_counts(points, r, alive=None):
         d2 = ((points - points[i]) ** 2).sum(axis=1)
         counts[i] = int(np.count_nonzero((d2 <= r * r) & alive)) - 1
     return counts
+
+
+def _count_queries(monkeypatch):
+    """Spy on `radius_neighbors` as purify calls it; returns the ids asked."""
+    asked = []
+    real = purification.radius_neighbors
+
+    def spy(cloud, index, i, r):
+        asked.extend(np.atleast_1d(i).tolist())
+        return real(cloud, index, i, r)
+
+    monkeypatch.setattr(purification, "radius_neighbors", spy)
+    return asked
+
+
+def _dense_ball(n, radius, seed):
+    gen = np.random.default_rng(seed)
+    dirs = gen.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = radius * gen.random(n) ** (1 / 3)
+    return dirs * radii[:, None] + [5.0, 5.0, 5.0]
 
 
 def _bundle(frames=2, h=6, w=8, seed=0, depth_value=2.0):
@@ -229,7 +251,7 @@ class TestPurify:
         purify(cloud, tau=5)
         assert cloud.alive.all()
 
-    @pytest.mark.parametrize("tau", [1, 16, 40])
+    @pytest.mark.parametrize("tau", [1, 16, 40, 178])
     def test_clusters_and_noise_match_brute_force(self, tau):
         # tight clusters fill whole grid cells (kept outright); the sparse
         # noise and the cluster fringes go through the k-d tree counts
@@ -261,13 +283,8 @@ class TestPurify:
     def test_dense_ball_memory_bounded(self):
         # 60k points inside a ball of radius 1e-3 r: a pair scan would need
         # a 60k x 60k x 3 float64 temporary (~86 GB)
-        gen = np.random.default_rng(13)
         r = 1.0
-        dirs = gen.normal(size=(60_000, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = 1e-3 * r * gen.random(60_000) ** (1 / 3)
-        pts = dirs * radii[:, None] + [5.0, 5.0, 5.0]
-        cloud = _cloud(pts)
+        cloud = _cloud(_dense_ball(60_000, 1e-3 * r, seed=13))
         tracemalloc.start()
         try:
             out = purify(cloud, tau=16, radius=r)
@@ -276,6 +293,62 @@ class TestPurify:
             tracemalloc.stop()
         assert out.alive.all()
         assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("tau, kept", [(60_000, False), (59_999, True)])
+    def test_dense_ball_decided_without_counting(self, tau, kept,
+                                                 monkeypatch):
+        # 60k points have at most 59,999 others each: at tau 60000 all die
+        # unseen, at tau 59999 the grid proves every point dense; counting
+        # them through the k-d tree would walk 60k neighbours per point
+        asked = _count_queries(monkeypatch)
+        cloud = _cloud(_dense_ball(60_000, 1e-3, seed=13))
+        out = purify(cloud, tau=tau, radius=1.0)
+        assert out.alive.all() if kept else not out.alive.any()
+        assert asked == []
+
+    def test_blob_mostly_decided_by_grid(self, monkeypatch):
+        # a uniform ball of radius 3r: about 5 points per r/2 cell, so no
+        # cell alone proves tau = 16, yet with its adjacent cells nearly
+        # every point does; only the rim is left for the k-d tree
+        asked = _count_queries(monkeypatch)
+        r = 1.0
+        pts = _dense_ball(5000, 3 * r, seed=14)
+        cells = np.floor((pts - pts.min(axis=0)) / (r / 2))
+        assert np.unique(cells, axis=0, return_counts=True)[1].max() <= 16
+        out = purify(_cloud(pts), tau=16, radius=r)
+        np.testing.assert_array_equal(out.alive, _brute_counts(pts, r) >= 16)
+        assert len(asked) <= 0.05 * len(pts)
+
+    @pytest.mark.parametrize("tau", [1, 6, 26])
+    def test_lattice_on_cell_corners_matches_brute_force(self, tau):
+        # spacing r/2 puts every point on a cell corner, where key rounding
+        # decides its cell: a neighbour one step down sits on the far
+        # corner of its cell, and points two steps apart are r apart in
+        # exact arithmetic
+        r = 0.3
+        axis = 1.7 + np.arange(7) * (r / 2)
+        pts = np.stack(np.meshgrid(axis, axis - 4.1, axis + 0.9,
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+        out = purify(_cloud(pts), tau=tau, radius=r)
+        np.testing.assert_array_equal(out.alive, _brute_counts(pts, r) >= tau)
+
+    @pytest.mark.parametrize("far2, decided", [(4 * (1 - 1e-7), False),
+                                               (4 * (1 - 1e-5), True)])
+    def test_far_corner_margin(self, far2, decided, monkeypatch):
+        # cells are 0.5 wide (r = 1); p sits in cell (1, 1, 1) at fraction
+        # (fx, 0.5, 0.5), and 20 points sit well within r in cell (2, 1, 1),
+        # whose far corner from p is sqrt(far2) cells away.  Within the
+        # 1e-6 margin of r the grid leaves p to the k-d tree; clear of it,
+        # the grid counts the cell and keeps p unasked
+        asked = _count_queries(monkeypatch)
+        fx = 2 - np.sqrt(far2 - 0.5)
+        p = 0.5 * np.array([1 + fx, 1.5, 1.5])
+        block = np.tile(0.5 * np.array([2.5, 1.5, 1.5]), (20, 1))
+        pts = np.vstack([[0.0, 0.0, 0.0], p, block])
+        out = purify(_cloud(pts), tau=20, radius=1.0)
+        np.testing.assert_array_equal(out.alive, _brute_counts(pts, 1.0) >= 20)
+        assert out.alive[1]
+        assert (1 in asked) != decided
 
     def test_non_finite_radius_rejected(self):
         cloud = _cloud([[0, 0, 0], [1, 0, 0]])
