@@ -18,6 +18,8 @@ tap by tap with per-point (N, C) gathers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import ndimage
 
@@ -197,11 +199,11 @@ def refine_masks(cloud: DynamicPointCloud, bundle: SceneBundle,
     """Final masks: keep points whose inconsistency clears the threshold.
 
     Points nowhere visible keep their current (purification) verdict.
-    Returns the closed per-frame masks plus the re-labeled cloud.
+    Returns the closed per-frame masks plus the re-labeled cloud, which
+    shares every array with `cloud` but `alive`.
     """
     scores, counts = score_cloud(cloud, bundle, confidences, lam, occlusion_tol)
-    out = cloud.copy()
-    scored = out.alive & (counts > 0)
-    out.alive[scored] = scores[scored] >= theta_dyn
-    masks = mask_from_cloud(out, bundle)
-    return close_masks(masks), out
+    alive = np.where(cloud.alive & (counts > 0), scores >= theta_dyn,
+                     cloud.alive)
+    out = replace(cloud, alive=alive)
+    return close_masks(mask_from_cloud(out, bundle)), out

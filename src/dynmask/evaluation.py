@@ -15,7 +15,7 @@ reported as fractions in [0, 1] for masks and meters for distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -52,15 +52,7 @@ class MetricReport:
     dist_median: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "jm": self.jm, "fm": self.fm, "jr": self.jr, "fr": self.fr,
-            "jaccard_frames": list(self.jaccard_frames),
-            "boundary_frames": list(self.boundary_frames),
-            "ate": self.ate,
-            "acc_mean": self.acc_mean, "acc_median": self.acc_median,
-            "comp_mean": self.comp_mean, "comp_median": self.comp_median,
-            "dist_mean": self.dist_mean, "dist_median": self.dist_median,
-        }
+        return asdict(self)
 
 
 def _check_stacks(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

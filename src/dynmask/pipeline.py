@@ -15,8 +15,6 @@ toggle then restores one mechanism, so ablations compose cumulatively.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -24,41 +22,30 @@ import numpy as np
 
 from . import attention, crossview, purification
 from .purification import DynamicPointCloud
-from .tensor_io import SceneBundle
+from .tensor_io import SceneBundle, json_object, json_value
 
 
 @dataclass
 class PipelineConfig:
     """Every tunable constant of the mask pipeline, with defaults."""
 
-    eps: float = 1e-8                 # variance-weight regularizer
-    theta_saliency: float = 0.5       # binarization threshold
-    r_factor: float = 0.02            # purification radius, fraction of diagonal
-    tau: int = 16                     # minimum neighbor count
-    lam: float = 1.0 / 3.0            # color-residual weight in the score
-    theta_dyn: float = 0.1            # dynamic-score threshold
-    occlusion_tolerance: float = 0.05  # relative depth slack for visibility
+    eps: float = attention.DEFAULT_EPS  # variance-weight regularizer
+    theta_saliency: float = 0.5  # binarization threshold
+    r_factor: float = purification.DEFAULT_R_FACTOR  # radius / diagonal
+    tau: int = purification.DEFAULT_TAU  # minimum neighbor count
+    lam: float = crossview.DEFAULT_LAMBDA  # color-residual weight
+    theta_dyn: float = crossview.DEFAULT_THETA_DYN  # dynamic-score threshold
+    occlusion_tolerance: float = crossview.DEFAULT_OCCLUSION_TOL  # depth slack
     enable_attention_weighting: bool = True
     enable_purification: bool = True
     enable_uncertainty: bool = True
 
     def __post_init__(self) -> None:
-        # types first, so the range checks below compare finite numbers
+        # kinds first, so the range checks below compare finite numbers;
+        # an int field takes 12.0 as 12 and a float field takes 1 as 1.0
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "bool":
-                ok, kind = isinstance(value, bool), "true or false"
-            elif f.type == "int":
-                ok = (isinstance(value, numbers.Integral)
-                      and not isinstance(value, bool))
-                kind = "an integer"
-            else:
-                ok = (isinstance(value, numbers.Real)
-                      and not isinstance(value, bool)
-                      and math.isfinite(value))
-                kind = "a finite number"
-            if not ok:
-                raise ValueError(f"{f.name} {value!r} must be {kind}")
+            setattr(self, f.name,
+                    json_value(getattr(self, f.name), f.type, f.name))
         if self.eps <= 0:
             raise ValueError(f"eps {self.eps} must be > 0")
         if not 0.0 <= self.theta_saliency <= 1.0:
@@ -78,15 +65,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(raw)
-        tau = merged.get("tau")
-        if isinstance(tau, float) and tau.is_integer():
-            merged["tau"] = int(tau)  # JSON writers may emit 16 as 16.0
-        return cls(**merged)
+        return cls(**json_object(raw, "config",
+                                 [f.name for f in fields(cls)]))
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":

@@ -20,7 +20,7 @@ Memory stays linear in the number of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -61,14 +61,6 @@ class DynamicPointCloud:
                    pixels=np.zeros((0, 2), dtype=np.int32),
                    saliencies=np.zeros(0),
                    alive=np.zeros(0, dtype=bool))
-
-    def copy(self) -> "DynamicPointCloud":
-        return DynamicPointCloud(
-            positions=self.positions.copy(),
-            frame_indices=self.frame_indices.copy(),
-            pixels=self.pixels.copy(),
-            saliencies=self.saliencies.copy(),
-            alive=self.alive.copy())
 
 
 def build_index(cloud: DynamicPointCloud, r: float) -> cKDTree:
@@ -200,35 +192,35 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
     The radius defaults to r_factor times the cloud's bounding-box diagonal;
     pass `radius` to override (e.g. with a full-scene diagonal).  Densities
     are computed against the pre-filter cloud, so removal order cannot
-    cascade.  Returns a new cloud; the input is left untouched.
+    cascade.  Returns a new cloud that shares every array with the input
+    but `alive`; the input is left untouched.
     """
     if tau < 0:
         raise ValueError(f"tau {tau} must be >= 0")
-    out = cloud.copy()
-    if len(out) == 0:
-        return out
+    alive = np.zeros_like(cloud.alive)  # dead points stay dead
+    if len(cloud) == 0:
+        return replace(cloud, alive=alive)
     r = (r_factor * scene_diagonal(cloud)) if radius is None else float(radius)
     if not np.isfinite(r):
         raise ValueError(f"purification radius {r} must be finite")
-    alive_ids = np.flatnonzero(out.alive)
+    alive_ids = np.flatnonzero(cloud.alive)
     if len(alive_ids) <= tau:
         # no point has tau others, so no grid or index is needed
-        out.alive[alive_ids] = False
-        return out
-    positions = out.positions[alive_ids]
+        return replace(cloud, alive=alive)
+    positions = cloud.positions[alive_ids]
     if r <= 0:
         # degenerate radius: only exactly co-located points count
         _, inverse, group_sizes = np.unique(
             positions, axis=0, return_inverse=True, return_counts=True)
-        out.alive[alive_ids] = group_sizes[inverse] > tau
-        return out
+        alive[alive_ids] = group_sizes[inverse] > tau
+        return replace(cloud, alive=alive)
     keep = _outright_alive(positions, r, tau)
     rest = np.flatnonzero(~keep)
     if len(rest):
-        keep[rest] = radius_neighbors(out, build_index(out, r),
+        keep[rest] = radius_neighbors(cloud, build_index(cloud, r),
                                       alive_ids[rest], r) >= tau
-    out.alive[alive_ids] = keep
-    return out
+    alive[alive_ids] = keep
+    return replace(cloud, alive=alive)
 
 
 def mask_from_cloud(cloud: DynamicPointCloud, bundle: SceneBundle) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -25,8 +24,9 @@ from scipy import ndimage
 
 from . import rng
 from .geometry import CameraModel, pixel_rays
-from .tensor_io import (SceneBundle, SceneFormatError, read_manifest,
-                        read_stack, save_scene, write_json, write_stack)
+from .tensor_io import (SceneBundle, SceneFormatError, json_object,
+                        json_value, json_vector, read_manifest, read_stack,
+                        save_scene, write_json, write_stack)
 
 RAY_EPS = 1e-6
 PLANE_EPS = 1e-12
@@ -99,19 +99,21 @@ class SceneSpec:
     def from_dict(cls, raw: dict) -> "SceneSpec":
         """Parse a JSON spec laid out as ``_SPEC_KEYS`` describes.
 
-        Unknown keys, non-numbers and fractional integers raise ValueError.
+        Every key and value passes the `tensor_io` JSON checker; a
+        failure raises ValueError.
         """
-        _spec_object(raw, "spec",
-                     [*_SPEC_KEYS[""], *filter(None, _SPEC_KEYS), "movers"])
+        json_object(raw, "spec",
+                    [*_SPEC_KEYS[""], *filter(None, _SPEC_KEYS), "movers"])
         kinds = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for section, keys in _SPEC_KEYS.items():
-            part = (_spec_object(raw.get(section, {}), section, keys)
+            part = (json_object(raw.get(section, {}), f"spec {section}", keys)
                     if section else raw)
             for key in sorted(set(keys) & set(part)):
                 name = "noise_tile" if key == "tile" else key
-                kwargs[name] = _spec_number(
-                    part[key], kinds[name], f"{section}.{key}".lstrip("."))
+                kwargs[name] = json_value(
+                    part[key], kinds[name],
+                    "spec " + f"{section}.{key}".lstrip("."))
         movers = raw.get("movers", [])
         if not isinstance(movers, list):
             raise ValueError("spec movers must be a list")
@@ -150,47 +152,21 @@ _SPEC_KEYS = {
 }
 
 
-def _spec_object(raw, where: str, known) -> dict:
-    """`raw` as a JSON object whose keys all lie in `known`."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"spec {where} must be a JSON object")
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ValueError(f"unknown spec keys in {where}: {sorted(unknown)}")
-    return raw
-
-
-def _spec_number(value, kind: str, where: str) -> int | float:
-    """A finite JSON number as `kind`: "int" (3 or 3.0, not 3.7) or "float"."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"spec {where} {value!r} must be a finite number")
-    if kind == "int" and not float(value).is_integer():
-        raise ValueError(f"spec {where} {value!r} must be a whole number")
-    return int(value) if kind == "int" else float(value)
-
-
-def _spec_vector(value, where: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValueError(f"spec {where} {value!r} must be 3 numbers")
-    return np.array([_spec_number(v, "float", where) for v in value])
-
-
 def _mover_from_dict(raw, index: int) -> MoverSpec:
-    where = f"movers[{index}]"
-    _spec_object(raw, where, ("shape", "size", "start", "velocity", "color"))
+    where = f"spec movers[{index}]"
+    json_object(raw, where, ("shape", "size", "start", "velocity", "color"))
     if "size" not in raw or "start" not in raw:
-        raise ValueError(f"spec {where} needs 'size' and 'start'")
+        raise ValueError(f"{where} needs 'size' and 'start'")
     shape = raw.get("shape", "sphere")
     if shape not in ("sphere", "box"):
         raise ValueError(f"unknown mover shape {shape!r}")
     color = raw.get("color", _MOVER_PALETTE[index % len(_MOVER_PALETTE)])
     return MoverSpec(
-        shape=shape, size=_spec_number(raw["size"], "float", f"{where}.size"),
-        start=_spec_vector(raw["start"], f"{where}.start"),
-        velocity=_spec_vector(raw.get("velocity", [0, 0, 0]),
-                              f"{where}.velocity"),
-        color=_spec_vector(color, f"{where}.color"))
+        shape=shape, size=json_value(raw["size"], "float", f"{where}.size"),
+        start=json_vector(raw["start"], 3, f"{where}.start"),
+        velocity=json_vector(raw.get("velocity", [0, 0, 0]), 3,
+                             f"{where}.velocity"),
+        color=json_vector(color, 3, f"{where}.color"))
 
 
 @dataclass
@@ -495,15 +471,14 @@ def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
     movers = manifest.get("movers")
     if not isinstance(movers, list):
         raise SceneFormatError("gt.json movers is missing or not a list")
-    want = (len(movers), t, 3)
-    try:
-        positions = np.array([m["positions"] for m in movers]
-                             or np.zeros(want), dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneFormatError(f"gt.json movers: {exc!r}") from exc
-    if positions.shape != want:
-        raise SceneFormatError(f"gt.json mover positions shape "
-                               f"{positions.shape} != {want}")
+    positions = np.zeros((len(movers), t, 3))
+    for i, mover in enumerate(movers):
+        where = f"gt.json movers[{i}] positions"
+        track = mover.get("positions") if isinstance(mover, dict) else None
+        if not isinstance(track, list) or len(track) != t:
+            raise SceneFormatError(f"{where} must list {t} positions")
+        positions[i] = [json_vector(p, 3, where, SceneFormatError)
+                        for p in track]
     return GroundTruth(
         masks=bundle.gt_masks, cameras=bundle.gt_cameras,
         true_depths=true_depths, instances=instances.astype(np.int32),

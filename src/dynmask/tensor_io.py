@@ -15,12 +15,19 @@ in the generator's ``gt.json`` alike, is one file per frame named
 ``<prefix>_<frame:04d>.<ext>`` and listed under the stack's manifest key;
 :func:`write_stack` and :func:`read_stack` are the only code that writes
 and checks that layout.
+
+Every value read from JSON (config, spec, ``scene.json``, ``gt.json``)
+passes one checker, :func:`json_value`, :func:`json_vector` and
+:func:`json_object`: a bool, a string or a null is not a number, and a
+number beyond float range is not finite.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +45,54 @@ class TensorFormatError(ValueError):
 
 class SceneFormatError(ValueError):
     """Scene directory that fails manifest or cross-tensor validation."""
+
+
+# ---------------------------------------------------------------------------
+# JSON values
+# ---------------------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max  # a Python float: ints compare exactly
+# kind -> (type returned, what the value must be)
+_JSON_KINDS = {"bool": (bool, "true or false"),
+               "int": (int, "a finite whole number"),
+               "float": (float, "a finite number")}
+
+
+def json_value(value, kind: str, where: str, error=ValueError):
+    """`value` as `kind`: "bool", "int" (3 and 3.0 give 3) or "float".
+
+    A number is finite when it lies within float range; integers are
+    compared as integers, never converted to float first.  Anything else
+    raises `error`, naming `where`.
+    """
+    cast, text = _JSON_KINDS[kind]
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    else:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and -_FLOAT_MAX <= value <= _FLOAT_MAX)  # False for NaN
+        if ok and kind == "int" and not isinstance(value, numbers.Integral):
+            ok = float(value).is_integer()
+    if not ok:
+        raise error(f"{where} {value!r} must be {text}")
+    return cast(value)
+
+
+def json_vector(value, n: int, where: str, error=ValueError) -> np.ndarray:
+    """A list of exactly `n` finite numbers, as a float64 array."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise error(f"{where} {value!r} must be a list of {n} numbers")
+    return np.array([json_value(v, "float", where, error) for v in value])
+
+
+def json_object(raw, where: str, known) -> dict:
+    """`raw` as a JSON object whose keys all lie in `known`."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    return raw
 
 
 def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
@@ -249,20 +304,20 @@ def _camera_to_json(cam: CameraModel) -> dict:
     }
 
 
-def _camera_from_json(entry) -> CameraModel:
+def _camera_from_json(entry, where: str) -> CameraModel:
     if not isinstance(entry, dict):
         raise SceneFormatError(f"camera entry {entry!r} is not an object")
     missing = [k for k in ("fx", "fy", "cx", "cy", "R", "t") if k not in entry]
     if missing:
         raise SceneFormatError(f"camera missing {missing}")
+    fx, fy, cx, cy = (json_value(entry[k], "float", f"{where} {k}",
+                                 SceneFormatError)
+                      for k in ("fx", "fy", "cx", "cy"))
+    R, t = (json_vector(entry[k], n, f"{where} {k}", SceneFormatError)
+            for k, n in (("R", 9), ("t", 3)))
     try:
-        return CameraModel(
-            fx=float(entry["fx"]), fy=float(entry["fy"]),
-            cx=float(entry["cx"]), cy=float(entry["cy"]),
-            R=np.asarray(entry["R"], dtype=np.float64).reshape(3, 3),
-            t=entry["t"],
-        )
-    except (TypeError, ValueError) as exc:
+        return CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, R=R.reshape(3, 3), t=t)
+    except ValueError as exc:
         raise SceneFormatError(f"invalid camera: {exc}") from exc
 
 
@@ -270,17 +325,17 @@ def _cameras_from_json(manifest: dict, key: str) -> list[CameraModel]:
     entries = manifest.get(key)
     if not isinstance(entries, list):
         raise SceneFormatError(f"manifest {key} is not a list of cameras")
-    return [_camera_from_json(c) for c in entries]
+    return [_camera_from_json(c, f"{key}[{i}]")
+            for i, c in enumerate(entries)]
 
 
 def _manifest_count(manifest: dict, key: str) -> int:
-    """A required positive whole number; 8 and 8.0 both pass."""
-    value = manifest.get(key)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < 1):
-        raise SceneFormatError(
-            f"manifest {key} {value!r} is not a positive whole number")
-    return int(value)
+    """A required whole number of at least 1; 8 and 8.0 both pass."""
+    value = json_value(manifest.get(key), "int", f"manifest {key}",
+                       SceneFormatError)
+    if value < 1:
+        raise SceneFormatError(f"manifest {key} {value} must be >= 1")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,9 @@ class TestGenerate:
     @pytest.mark.parametrize("change", [
         {"movers": [{"shape": "sphere", "start": [0, 0, 3]}]},
         {"noise": {"depth_sigma": 0.02, "high_frac": 0.25}},
-        {"frames": 3.7},
-    ], ids=["mover-without-size", "unknown-key", "fractional-frames"])
+        {"frames": 3.7}, {"seed": 10 ** 400},
+    ], ids=["mover-without-size", "unknown-key", "fractional-frames",
+            "huge-seed"])
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, change):
         path = _write_spec(tmp_path / "spec.json", dict(SPEC, **change))
         out = tmp_path / "o"
@@ -213,7 +214,8 @@ class TestMask:
     @pytest.mark.parametrize("raw", [
         {"enable_purification": "false"}, {"tau": 16.9}, {"tau": True},
         {"r_factor": "0.02"}, {"theta_dyn": float("nan")},
-        {"occlusion_tolerance": float("inf")},
+        {"occlusion_tolerance": float("inf")}, {"tau": 10 ** 400},
+        {"theta_dyn": 10 ** 400},
     ])
     def test_mistyped_config_value(self, tmp_path, scene_dir, capsys, raw):
         cfg_path = tmp_path / "cfg.json"
@@ -258,6 +260,23 @@ class TestMask:
         (bad / "scene.json").write_text(json.dumps(manifest))
         assert main(["mask", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "dynmask mask: error: camera missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("frames", 10 ** 400), ("fx", True), ("fx", "38.4"),
+    ], ids=["huge-frames", "fx-bool", "fx-string"])
+    def test_mistyped_manifest_value(self, tmp_path, scene_dir, capsys, key,
+                                     value):
+        # a bool or string focal length used to load; a 400-digit frame
+        # count used to end in an OverflowError traceback
+        bad = tmp_path / "bad"
+        shutil.copytree(scene_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        (manifest["cameras"][0] if key == "fx" else manifest)[key] = value
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["mask", str(bad), "--out", str(out)]) == 2
+        assert f"{key} " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scene(self, tmp_path, capsys):
         assert main(["mask", str(tmp_path / "nope"),
@@ -334,6 +353,8 @@ GT_BREAKAGES = {
     "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
                                   for name in gt["true_depths"]],
     "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
+    "position-strings": lambda gt, root: gt["movers"][0].update(
+        positions=[list(map(str, p)) for p in gt["movers"][0]["positions"]]),
 }
 
 

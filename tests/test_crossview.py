@@ -17,7 +17,7 @@ from dynmask import crossview, synthetic
 from dynmask.crossview import (activate_confidence, bilinear_sample,
                                close_masks, refine_masks, score_cloud)
 from dynmask.geometry import CameraModel, project_points
-from dynmask.purification import DynamicPointCloud, unproject_mask
+from dynmask.purification import DynamicPointCloud, purify, unproject_mask
 from dynmask.tensor_io import SceneBundle
 
 
@@ -520,6 +520,22 @@ class TestCloseMasks:
 
 
 class TestRefineMasks:
+    def test_stages_change_only_alive(self):
+        # purify and refine_masks relabel points: each returns a new alive
+        # array, leaves the input's alone and shares every other array
+        bundle = _flat_bundle()
+        conf = activate_confidence(bundle.confidence_logits)
+        masks = np.random.default_rng(2).random((3, 10, 14)) > 0.4
+        cloud = unproject_mask(bundle, masks)
+        before = cloud.alive.copy()
+        for out in (purify(cloud, tau=6, radius=0.05),
+                    refine_masks(cloud, bundle, conf, theta_dyn=0.1)[1]):
+            assert not np.array_equal(out.alive, before)
+            np.testing.assert_array_equal(cloud.alive, before)
+            for name in ("positions", "frame_indices", "pixels",
+                         "saliencies"):
+                assert getattr(out, name) is getattr(cloud, name), name
+
     def test_theta_zero_keeps_all_scored(self):
         gen = np.random.default_rng(1)
         bundle = _flat_bundle()

@@ -46,10 +46,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig.from_dict({"taus": 8})
 
+    @pytest.mark.parametrize("raw", [None, [], "tau"])
+    def test_config_must_be_an_object(self, raw):
+        # null used to raise TypeError and [] to give the defaults
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            PipelineConfig.from_dict(raw)
+
     def test_tau_coerced_to_int(self):
         cfg = PipelineConfig.from_dict({"tau": 12.0})
         assert cfg.tau == 12
         assert isinstance(cfg.tau, int)
+
+    def test_whole_numbers_take_the_field_kind(self):
+        # the constructor and from_dict share one rule: 12.0 is the int 12,
+        # and 1 is the float 1.0, so pipeline.json echoes one spelling
+        cfg = PipelineConfig(tau=12.0)
+        assert cfg.tau == 12 and type(cfg.tau) is int
+        theta_dyn = PipelineConfig.from_dict({"theta_dyn": 1}).theta_dyn
+        assert theta_dyn == 1.0 and type(theta_dyn) is float
 
     @pytest.mark.parametrize("field,value", [
         ("eps", 0.0), ("eps", -1e-9),
@@ -69,7 +83,8 @@ class TestConfig:
             with pytest.raises(ValueError, match=name):
                 PipelineConfig.from_dict({name: value})
 
-    @pytest.mark.parametrize("value", [16.9, True, False, "16", None])
+    @pytest.mark.parametrize("value", [16.9, True, False, "16", None,
+                                       pytest.param(10 ** 400, id="huge")])
     def test_tau_must_be_integer(self, value):
         with pytest.raises(ValueError, match="tau"):
             PipelineConfig.from_dict({"tau": value})
@@ -78,7 +93,8 @@ class TestConfig:
                                        "lam", "theta_dyn",
                                        "occlusion_tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf"), "0.5", True, None])
+                                       float("-inf"), "0.5", True, None,
+                                       pytest.param(10 ** 400, id="huge")])
     def test_float_fields_must_be_finite_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
             PipelineConfig.from_dict({field: value})

@@ -110,9 +110,11 @@ class TestSpecParsing:
         {"noise": {"depth_sigma": float("nan")}}, {"camera": []},
         {"movers": [{"size": 0.3, "start": [0, 3]}]},
         {"movers": [{"size": 0.3, "start": [0, 0, 3], "color": "red"}]},
-        {"movers": {}}, [],
+        {"movers": {}}, [], {"seed": 10 ** 400},
+        {"movers": [{"size": 0.3, "start": ["0", "0", "3"]}]},
     ], ids=["string", "bool", "null", "nan", "section-list", "short-start",
-            "color-string", "movers-object", "spec-list"])
+            "color-string", "movers-object", "spec-list", "seed-huge",
+            "start-strings"])
     def test_malformed_value_rejected(self, raw):
         with pytest.raises(ValueError):
             SceneSpec.from_dict(raw)
@@ -430,6 +432,8 @@ _GT_BREAKAGES = {
     "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
                                   for name in gt["true_depths"]],
     "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
+    "position-strings": lambda gt, root: gt["movers"][0].update(
+        positions=[list(map(str, p)) for p in gt["movers"][0]["positions"]]),
 }
 
 

@@ -266,11 +266,18 @@ class TestSceneBundle:
         (("cameras", 0, "fx"), None, "camera"),
         (("cameras", 0, "R"), [1.0] * 8, "camera"),
         (("gt_cameras", 1, "cy"), DROP, "camera missing"),
+        (("cameras", 0, "fx"), True, "cameras.0. fx"),
+        (("cameras", 0, "fx"), "38.4", "cameras.0. fx"),
+        (("cameras", 1, "R"), ["1", "0", "0", "0", "1", "0", "0", "0", "1"],
+         "cameras.1. R"),
+        (("gt_cameras", 0, "t"), ["0", "0", "0"], "gt_cameras.0. t"),
+        (("frames",), 10 ** 400, "frames"),
     ], ids=["missing-stack", "short-stack", "non-string-name",
             "short-gt-masks", "frames-string", "patch-fraction",
             "missing-heads", "height-mismatch", "cameras-object",
             "camera-list", "camera-no-t", "camera-fx-null", "camera-short-R",
-            "gt-camera-no-cy"])
+            "gt-camera-no-cy", "camera-fx-bool", "camera-fx-string",
+            "camera-R-strings", "gt-camera-t-strings", "frames-huge"])
     def test_malformed_manifest_rejected(self, tmp_path, where, value, match):
         save_scene(_tiny_bundle(), tmp_path / "scene")
         path = tmp_path / "scene" / "scene.json"
@@ -311,3 +318,39 @@ def test_write_json_stable(tmp_path):
     tensor_io.write_json({"b": 1, "a": [1, 2]}, p1)
     tensor_io.write_json({"a": [1, 2], "b": 1}, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("value, kind, want", [
+    (True, "bool", True), (3, "int", 3), (3.0, "int", 3),
+    pytest.param(10 ** 300, "int", 10 ** 300, id="1e300-int"),
+    (0, "float", 0.0), (-2.5, "float", -2.5),
+])
+def test_json_value_accepted(value, kind, want):
+    got = tensor_io.json_value(value, kind, "x")
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (1, "bool"), ("true", "bool"), (None, "bool"), (3.7, "int"),
+    (True, "int"), ("3", "int"),
+    pytest.param(10 ** 400, "int", id="1e400-int"),
+    pytest.param(-(10 ** 400), "float", id="-1e400-float"),
+    (float("nan"), "float"), (float("inf"), "float"), (False, "float"),
+    ("0.5", "float"), (None, "float"), ([1.0], "float"),
+])
+def test_json_value_rejected(value, kind):
+    with pytest.raises(SceneFormatError, match="where"):
+        tensor_io.json_value(value, kind, "where", SceneFormatError)
+
+
+def test_json_vector_and_object():
+    vec = tensor_io.json_vector([1, 2.5, 3], 3, "v")
+    assert vec.dtype == np.float64 and vec.tolist() == [1.0, 2.5, 3.0]
+    for bad in ([1, 2], [1, 2, "3"], "1 2 3", None):
+        with pytest.raises(ValueError, match="v"):
+            tensor_io.json_vector(bad, 3, "v")
+    assert tensor_io.json_object({"a": 1}, "o", ("a", "b")) == {"a": 1}
+    with pytest.raises(ValueError, match="unknown o keys: .'c'"):
+        tensor_io.json_object({"a": 1, "c": 2}, "o", ("a", "b"))
+    with pytest.raises(ValueError, match="o must be a JSON object"):
+        tensor_io.json_object([], "o", ("a",))
