@@ -21,8 +21,8 @@ from .evaluation import MetricReport
 from .geometry import epipolar_residual_batch, essential_from_poses, \
     project_dynamic_world_batch
 from .pipeline import PipelineConfig, run
-from .tensor_io import (SceneFormatError, load_scene, read_pgm, write_json,
-                        write_pgm, write_tensor)
+from .tensor_io import (SceneBundle, SceneFormatError, load_scene, read_pgm,
+                        write_json, write_pgm, write_tensor)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     spec = synthetic.SceneSpec.from_json(args.spec)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bundle, gt = synthetic.generate(spec, out)
@@ -137,26 +137,28 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _load_pred_masks(pred_dir: Path, frames: int) -> np.ndarray:
+def _load_pred_masks(pred_dir: Path, bundle: SceneBundle) -> np.ndarray:
+    hw = (bundle.height, bundle.width)
     masks = []
-    for f in range(frames):
+    for f in range(bundle.frames):
         path = pred_dir / f"mask_{f:04d}.pgm"
         if not path.exists():
             raise SceneFormatError(f"missing prediction mask {path}")
-        masks.append(read_pgm(path) > 127)
+        mask = read_pgm(path) > 127
+        if mask.shape != hw:
+            raise SceneFormatError(
+                f"{path}: mask dims {mask.shape} != scene dims {hw}")
+        masks.append(mask)
     return np.stack(masks)
 
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     bundle = load_scene(args.scene)
-    pred_masks = _load_pred_masks(pred_dir, bundle.frames)
+    pred_masks = _load_pred_masks(pred_dir, bundle)
 
     report = (MetricReport() if bundle.gt_masks is None
               else evaluation.evaluate_masks(pred_masks, bundle.gt_masks))
-
-    if bundle.gt_cameras is not None:
-        report.ate = evaluation.ate(bundle.cameras, bundle.gt_cameras)
 
     cloud_path = pred_dir / "cloud.ply"
     gt_path = Path(args.scene) / "gt.json"

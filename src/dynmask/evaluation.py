@@ -1,13 +1,10 @@
-"""Segmentation, trajectory, and reconstruction metrics.
+"""Segmentation and reconstruction metrics.
 
 Mask quality is scored with the region Jaccard mean and the boundary
 F-measure (4-connected contours matched within a tolerance radius of
-0.8% of the image diagonal).  Trajectories are scored with RMSE of camera
-centers after closed-form similarity alignment, so the score ignores the
-global scale/rotation/translation gauge a monocular pipeline cannot
-observe.  Point clouds are scored with directed nearest-neighbor
-distances: accuracy (pred to truth), completeness (truth to pred), and
-their symmetric average, each as mean and median.
+0.8% of the image diagonal).  Point clouds are scored with directed
+nearest-neighbor distances: accuracy (pred to truth), completeness (truth
+to pred), and their symmetric average, each as mean and median.
 
 All metrics are pure functions of their inputs, deterministic, and
 reported as fractions in [0, 1] for masks and meters for distances.
@@ -43,7 +40,6 @@ class MetricReport:
     fr: float | None = None
     jaccard_frames: list = field(default_factory=list)
     boundary_frames: list = field(default_factory=list)
-    ate: float | None = None
     acc_mean: float | None = None
     acc_median: float | None = None
     comp_mean: float | None = None
@@ -78,10 +74,6 @@ def jaccard_frames(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     nz = union > 0
     out[nz] = inter[nz] / union[nz]
     return out
-
-
-def jaccard_mean(pred: np.ndarray, gt: np.ndarray) -> float:
-    return float(jaccard_frames(pred, gt).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +119,6 @@ def boundary_f_frames(pred: np.ndarray, gt: np.ndarray,
                      for f in range(pred.shape[0])])
 
 
-def boundary_f(pred: np.ndarray, gt: np.ndarray,
-               tol_frac: float = DEFAULT_BOUNDARY_TOL) -> float:
-    return float(boundary_f_frames(pred, gt, tol_frac).mean())
-
-
 def recall_fraction(per_frame: np.ndarray,
                     threshold: float = RECALL_THRESHOLD) -> float:
     """Fraction of frames whose score strictly exceeds the threshold."""
@@ -139,54 +126,6 @@ def recall_fraction(per_frame: np.ndarray,
     if per_frame.size == 0:
         raise ValueError("empty score series")
     return float((per_frame > threshold).mean())
-
-
-# ---------------------------------------------------------------------------
-# trajectory error
-# ---------------------------------------------------------------------------
-
-def umeyama_alignment(src: np.ndarray, dst: np.ndarray
-                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Closed-form similarity (scale, R, t) minimizing |s R src + t - dst|^2.
-
-    Degenerate source sets (all points identical) fall back to identity
-    rotation with unit scale so the caller still gets a defined transform.
-    """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
-        raise ValueError("point sets must both be (N, 3)")
-    n = src.shape[0]
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    cs = src - mu_s
-    cd = dst - mu_d
-    var_s = float((cs * cs).sum()) / n
-    if var_s <= 1e-15:
-        return 1.0, np.eye(3), mu_d - mu_s
-    cov = cd.T @ cs / n
-    u, d, vt = np.linalg.svd(cov)
-    sign = np.ones(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[2] = -1.0
-    rot = u @ np.diag(sign) @ vt
-    scale = float((d * sign).sum()) / var_s
-    trans = mu_d - scale * rot @ mu_s
-    return scale, rot, trans
-
-
-def ate(pred_cameras, gt_cameras) -> float:
-    """RMSE of camera centers after best similarity alignment."""
-    if len(pred_cameras) != len(gt_cameras):
-        raise ValueError("trajectory length mismatch")
-    if len(pred_cameras) < 2:
-        raise ValueError("need at least two poses")
-    pred = np.stack([c.center for c in pred_cameras])
-    gt = np.stack([c.center for c in gt_cameras])
-    scale, rot, trans = umeyama_alignment(pred, gt)
-    aligned = scale * (pred @ rot.T) + trans
-    err = aligned - gt
-    return float(np.sqrt((err * err).sum(axis=1).mean()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,6 @@ MIN_DEPTH = 1e-9
 MIN_BASELINE = 1e-9
 
 
-class BehindCameraError(ValueError):
-    """Projection target has non-positive depth in the target camera."""
-
-
 class DegenerateBaselineError(ValueError):
     """Camera pair with (near-)zero translation has no essential matrix."""
 
@@ -169,13 +165,6 @@ def project_points(points: np.ndarray,
     return proj[:, :2] / safe[:, None], z
 
 
-def project_rigid_batch(pixels: np.ndarray, depths: np.ndarray,
-                        ref: CameraModel, tgt: CameraModel
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Warp reference pixels into the target view assuming a static world."""
-    return project_points(unproject_pixels(pixels, depths, ref), tgt)
-
-
 def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,
                                 ref: CameraModel, tgt: CameraModel,
                                 displacements: np.ndarray
@@ -183,38 +172,6 @@ def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,
     """Warp reference pixels whose points move by world displacements."""
     disp = np.asarray(displacements, dtype=np.float64).reshape(-1, 3)
     return project_points(unproject_pixels(pixels, depths, ref) + disp, tgt)
-
-
-def project_dynamic_batch(pixels: np.ndarray, depths: np.ndarray,
-                          ref: CameraModel, tgt: CameraModel,
-                          motions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid warp plus per-point motion given in the target camera frame.
-
-    A target-frame motion M is the world displacement R_tgt^T M.
-    """
-    m = np.asarray(motions, dtype=np.float64).reshape(-1, 3)
-    return project_dynamic_world_batch(pixels, depths, ref, tgt, m @ tgt.R)
-
-
-def project_dynamic(pixel: np.ndarray, depth: float, ref: CameraModel,
-                    tgt: CameraModel, motion: np.ndarray
-                    ) -> tuple[np.ndarray, float]:
-    """Single-pixel dynamic warp, motion in the target camera frame.
-
-    Raises BehindCameraError if z_t <= 0.
-    """
-    uv, z = project_dynamic_batch(
-        np.asarray(pixel).reshape(1, 2), [depth], ref, tgt,
-        np.asarray(motion).reshape(1, 3))
-    if z[0] <= MIN_DEPTH:
-        raise BehindCameraError(f"target depth {z[0]:.3e}")
-    return uv[0], float(z[0])
-
-
-def project_rigid(pixel: np.ndarray, depth: float, ref: CameraModel,
-                  tgt: CameraModel) -> tuple[np.ndarray, float]:
-    """Single-pixel rigid warp: project_dynamic with zero motion."""
-    return project_dynamic(pixel, depth, ref, tgt, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -228,40 +185,3 @@ def epipolar_residual_batch(pixels_ref: np.ndarray, pixels_tgt: np.ndarray,
     xr = pixel_rays(pixels_ref, intrinsics)
     xt = pixel_rays(pixels_tgt, intrinsics)
     return np.einsum("ni,ij,nj->n", xt, essential.matrix, xr)
-
-
-def epipolar_residual(pixel_ref: np.ndarray, pixel_tgt: np.ndarray,
-                      essential: EssentialMatrix,
-                      intrinsics: CameraModel) -> float:
-    """Signed epipolar residual of one correspondence.
-
-    Zero (to numerical precision) exactly when the two pixels see the same
-    static 3-D point; motion along the epipolar plane also stays at zero,
-    which is the blind spot this measure inherits.
-    """
-    return float(epipolar_residual_batch(
-        np.asarray(pixel_ref).reshape(1, 2), np.asarray(pixel_tgt).reshape(1, 2),
-        essential, intrinsics)[0])
-
-
-def residual_first_order(pixel_ref: np.ndarray, depth: float,
-                         ref: CameraModel, tgt: CameraModel,
-                         motion: np.ndarray) -> float:
-    """First-order estimate of the epipolar residual of a moving point.
-
-    `motion` is the point displacement in the target camera frame, as in
-    project_dynamic.  Uses the unit-baseline essential matrix: a point at
-    depth Z moved by M violates the constraint by about (n . M) / Z where
-    n is the unit normal of the epipolar plane through the reference ray.
-    Valid when the motion and depth change are small against scene depth;
-    degrades near the epipole where ||E x_r|| collapses.
-    """
-    ess = essential_from_poses(ref, tgt, unit_baseline=True)
-    x_hat = pixel_rays(pixel_ref, ref)[0]
-    line = ess.matrix @ x_hat
-    norm = np.linalg.norm(line)
-    if norm <= 1e-15:
-        return 0.0
-    n = line / norm
-    m = np.asarray(motion, dtype=np.float64).reshape(3)
-    return float(n @ m) / float(depth)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,10 @@ class SceneSpec:
     noise_amp: float = 0.6
 
     def __post_init__(self) -> None:
+        # random streams key on the seed modulo 2**64, so any seed outside
+        # that range would silently render the scene of another seed
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.frames < 2:
             raise ValueError(f"frames {self.frames} must be >= 2")
         if min(self.width, self.height, self.patch, self.noise_tile) < 1:
@@ -291,18 +295,6 @@ def _cast_rays(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
     return depth, instance, surface, points
 
 
-def cast_depth(spec: SceneSpec, cam: CameraModel, frame: int,
-               pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic camera-z depth and instance at arbitrary subpixel coords.
-
-    Useful as an oracle: the cast is closed form, so the depth along any
-    ray is exact, not a resampling of the rendered grid.
-    """
-    dirs = _ray_directions(pixels, cam)
-    depth, instance, _, _ = _cast_rays(spec, cam.center, dirs, frame)
-    return depth, instance
-
-
 def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (depth (H,W), color (H,W,3), instance (H,W) with -1 = static)."""
@@ -483,81 +475,6 @@ def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
         masks=bundle.gt_masks, cameras=bundle.gt_cameras,
         true_depths=true_depths, instances=instances.astype(np.int32),
         mover_positions=positions, sigma_maps=sigma_maps)
-
-
-# ---------------------------------------------------------------------------
-# corruption for stress tests
-# ---------------------------------------------------------------------------
-
-def corrupt(bundle: SceneBundle, occluder_fraction: float = 0.0,
-            outlier_points: int = 0, seed: int = 0,
-            tile: int = 16) -> SceneBundle:
-    """Stress a clean bundle with depth dropouts and saliency outliers.
-
-    Occluders: random image tiles get their depth zeroed (invalid), until
-    roughly `occluder_fraction` of each frame is covered.
-
-    Outliers: `outlier_points` attention cells, chosen away from the true
-    dynamic region, are bumped to the per-head maximum in every head; the
-    corresponding image block keeps exactly one valid-depth pixel (its
-    center).  Each injection therefore yields exactly one 3-D point with no
-    surface around it, which the density filter should treat as noise.
-    """
-    # only the depth and attention stacks are written below
-    out = replace(bundle, depths=bundle.depths.copy(),
-                  attention=bundle.attention.copy())
-    t, h, w = out.frames, out.height, out.width
-
-    if occluder_fraction > 0:
-        ty = (h + tile - 1) // tile
-        tx = (w + tile - 1) // tile
-        for f in range(t):
-            key = rng.stream_key(seed, "occluders", f)
-            draws = rng.uniforms(key, ty * tx).reshape(ty, tx)
-            kill = np.repeat(np.repeat(draws < occluder_fraction, tile, axis=0),
-                             tile, axis=1)[:h, :w]
-            out.depths[f][kill] = 0.0
-
-    if outlier_points > 0:
-        patch = out.patch
-        hp, wp = h // patch, w // patch
-        # keep injections off the true dynamic region with a 2-cell margin
-        if out.gt_masks is not None:
-            pooled = out.gt_masks.reshape(t, hp, patch, wp, patch).any(axis=(2, 4))
-            margin = np.stack([ndimage.binary_dilation(
-                pooled[f], structure=np.ones((5, 5), bool)) for f in range(t)])
-        else:
-            margin = np.zeros((t, hp, wp), dtype=bool)
-        head_max = out.attention.max(axis=(2, 3))  # (T, heads) pre-bump maxima
-        used: set[tuple[int, int, int]] = set()
-        key = rng.stream_key(seed, "outliers")
-        cursor = 0
-        for k in range(outlier_points):
-            f = k % t
-            placed = False
-            for _ in range(200):  # rejection sampling, deterministic stream
-                draw = rng.uniforms(key, 2, offset=cursor)
-                cursor += 2
-                pi = min(int(draw[0] * hp), hp - 1)
-                pj = min(int(draw[1] * wp), wp - 1)
-                center = (pi * patch + patch // 2, pj * patch + patch // 2)
-                if margin[f, pi, pj] or (f, pi, pj) in used:
-                    continue
-                if out.depths[f][center[0], center[1]] <= 0:
-                    continue
-                used.add((f, pi, pj))
-                out.attention[f, :, pi, pj] = head_max[f]
-                block_rows = slice(pi * patch, (pi + 1) * patch)
-                block_cols = slice(pj * patch, (pj + 1) * patch)
-                saved = out.depths[f][center[0], center[1]]
-                out.depths[f][block_rows, block_cols] = 0.0
-                out.depths[f][center[0], center[1]] = saved
-                placed = True
-                break
-            if not placed:
-                raise RuntimeError(
-                    "could not place outlier away from the dynamic region")
-    return out
 
 
 def corpus_specs(count: int = 20, frames: int = 6, width: int = 96,

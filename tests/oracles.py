@@ -1,0 +1,197 @@
+"""Reference oracles the tests check the library against.
+
+No pipeline or CLI path runs these, so they live with the tests: the
+single-pixel and camera-frame-motion warps, the scalar epipolar residual
+and its first-order estimate, the mean Jaccard and boundary scores, the
+analytic depth cast at arbitrary pixels, and the outlier injection of the
+ablation gate.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from scipy import ndimage
+
+from dynmask import rng
+from dynmask.evaluation import (DEFAULT_BOUNDARY_TOL, boundary_f_frames,
+                                jaccard_frames)
+from dynmask.geometry import (MIN_DEPTH, CameraModel, EssentialMatrix,
+                              epipolar_residual_batch, essential_from_poses,
+                              pixel_rays, project_dynamic_world_batch,
+                              project_points, unproject_pixels)
+from dynmask.synthetic import SceneSpec, _cast_rays, _ray_directions
+from dynmask.tensor_io import SceneBundle
+
+
+# ---------------------------------------------------------------------------
+# two-view warps
+# ---------------------------------------------------------------------------
+
+class BehindCameraError(ValueError):
+    """Projection target has non-positive depth in the target camera."""
+
+
+def project_rigid_batch(pixels: np.ndarray, depths: np.ndarray,
+                        ref: CameraModel, tgt: CameraModel
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Warp reference pixels into the target view assuming a static world."""
+    return project_points(unproject_pixels(pixels, depths, ref), tgt)
+
+
+def project_dynamic_batch(pixels: np.ndarray, depths: np.ndarray,
+                          ref: CameraModel, tgt: CameraModel,
+                          motions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rigid warp plus per-point motion given in the target camera frame.
+
+    A target-frame motion M is the world displacement R_tgt^T M.
+    """
+    m = np.asarray(motions, dtype=np.float64).reshape(-1, 3)
+    return project_dynamic_world_batch(pixels, depths, ref, tgt, m @ tgt.R)
+
+
+def project_dynamic(pixel: np.ndarray, depth: float, ref: CameraModel,
+                    tgt: CameraModel, motion: np.ndarray
+                    ) -> tuple[np.ndarray, float]:
+    """Single-pixel dynamic warp, motion in the target camera frame.
+
+    Raises BehindCameraError if z_t <= 0.
+    """
+    uv, z = project_dynamic_batch(
+        np.asarray(pixel).reshape(1, 2), [depth], ref, tgt,
+        np.asarray(motion).reshape(1, 3))
+    if z[0] <= MIN_DEPTH:
+        raise BehindCameraError(f"target depth {z[0]:.3e}")
+    return uv[0], float(z[0])
+
+
+def project_rigid(pixel: np.ndarray, depth: float, ref: CameraModel,
+                  tgt: CameraModel) -> tuple[np.ndarray, float]:
+    """Single-pixel rigid warp: project_dynamic with zero motion."""
+    return project_dynamic(pixel, depth, ref, tgt, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# epipolar residuals
+# ---------------------------------------------------------------------------
+
+def epipolar_residual(pixel_ref: np.ndarray, pixel_tgt: np.ndarray,
+                      essential: EssentialMatrix,
+                      intrinsics: CameraModel) -> float:
+    """Signed epipolar residual of one correspondence.
+
+    Zero (to numerical precision) exactly when the two pixels see the same
+    static 3-D point; motion along the epipolar plane also stays at zero,
+    which is the blind spot this measure inherits.
+    """
+    return float(epipolar_residual_batch(
+        np.asarray(pixel_ref).reshape(1, 2), np.asarray(pixel_tgt).reshape(1, 2),
+        essential, intrinsics)[0])
+
+
+def residual_first_order(pixel_ref: np.ndarray, depth: float,
+                         ref: CameraModel, tgt: CameraModel,
+                         motion: np.ndarray) -> float:
+    """First-order estimate of the epipolar residual of a moving point.
+
+    `motion` is the point displacement in the target camera frame, as in
+    project_dynamic.  Uses the unit-baseline essential matrix: a point at
+    depth Z moved by M violates the constraint by about (n . M) / Z where
+    n is the unit normal of the epipolar plane through the reference ray.
+    Valid when the motion and depth change are small against scene depth;
+    degrades near the epipole where ||E x_r|| collapses.
+    """
+    ess = essential_from_poses(ref, tgt, unit_baseline=True)
+    x_hat = pixel_rays(pixel_ref, ref)[0]
+    line = ess.matrix @ x_hat
+    norm = np.linalg.norm(line)
+    if norm <= 1e-15:
+        return 0.0
+    n = line / norm
+    m = np.asarray(motion, dtype=np.float64).reshape(3)
+    return float(n @ m) / float(depth)
+
+
+# ---------------------------------------------------------------------------
+# mask scores
+# ---------------------------------------------------------------------------
+
+def jaccard_mean(pred: np.ndarray, gt: np.ndarray) -> float:
+    return float(jaccard_frames(pred, gt).mean())
+
+
+def boundary_f(pred: np.ndarray, gt: np.ndarray,
+               tol_frac: float = DEFAULT_BOUNDARY_TOL) -> float:
+    return float(boundary_f_frames(pred, gt, tol_frac).mean())
+
+
+# ---------------------------------------------------------------------------
+# synthetic scenes
+# ---------------------------------------------------------------------------
+
+def cast_depth(spec: SceneSpec, cam: CameraModel, frame: int,
+               pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic camera-z depth and instance at arbitrary subpixel coords.
+
+    The cast is closed form, so the depth along any ray is exact, not a
+    resampling of the rendered grid.
+    """
+    dirs = _ray_directions(pixels, cam)
+    depth, instance, _, _ = _cast_rays(spec, cam.center, dirs, frame)
+    return depth, instance
+
+
+def corrupt(bundle: SceneBundle, outlier_points: int = 0,
+            seed: int = 0) -> SceneBundle:
+    """Stress a clean bundle with saliency outliers.
+
+    `outlier_points` attention cells, chosen away from the true dynamic
+    region, are bumped to the per-head maximum in every head; the
+    corresponding image block keeps exactly one valid-depth pixel (its
+    center).  Each injection therefore yields exactly one 3-D point with no
+    surface around it, which the density filter should treat as noise.
+    """
+    # only the depth and attention stacks are written below
+    out = replace(bundle, depths=bundle.depths.copy(),
+                  attention=bundle.attention.copy())
+    if outlier_points <= 0:
+        return out
+    t, h, w = out.frames, out.height, out.width
+    patch = out.patch
+    hp, wp = h // patch, w // patch
+    # keep injections off the true dynamic region with a 2-cell margin
+    if out.gt_masks is not None:
+        pooled = out.gt_masks.reshape(t, hp, patch, wp, patch).any(axis=(2, 4))
+        margin = np.stack([ndimage.binary_dilation(
+            pooled[f], structure=np.ones((5, 5), bool)) for f in range(t)])
+    else:
+        margin = np.zeros((t, hp, wp), dtype=bool)
+    head_max = out.attention.max(axis=(2, 3))  # (T, heads) pre-bump maxima
+    used: set[tuple[int, int, int]] = set()
+    key = rng.stream_key(seed, "outliers")
+    cursor = 0
+    for k in range(outlier_points):
+        f = k % t
+        placed = False
+        for _ in range(200):  # rejection sampling, deterministic stream
+            draw = rng.uniforms(key, 2, offset=cursor)
+            cursor += 2
+            pi = min(int(draw[0] * hp), hp - 1)
+            pj = min(int(draw[1] * wp), wp - 1)
+            center = (pi * patch + patch // 2, pj * patch + patch // 2)
+            if margin[f, pi, pj] or (f, pi, pj) in used:
+                continue
+            if out.depths[f][center[0], center[1]] <= 0:
+                continue
+            used.add((f, pi, pj))
+            out.attention[f, :, pi, pj] = head_max[f]
+            block_rows = slice(pi * patch, (pi + 1) * patch)
+            block_cols = slice(pj * patch, (pj + 1) * patch)
+            saved = out.depths[f][center[0], center[1]]
+            out.depths[f][block_rows, block_cols] = 0.0
+            out.depths[f][center[0], center[1]] = saved
+            placed = True
+            break
+        if not placed:
+            raise RuntimeError(
+                "could not place outlier away from the dynamic region")
+    return out

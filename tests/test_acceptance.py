@@ -20,13 +20,14 @@ from scipy.spatial.transform import Rotation
 
 from dynmask import attention, crossview, evaluation, purification, synthetic
 from dynmask.cli import main
-from dynmask.geometry import (BehindCameraError, CameraModel,
-                              epipolar_residual, epipolar_residual_batch,
-                              essential_from_poses, project_dynamic,
-                              project_rigid_batch, residual_first_order)
+from dynmask.geometry import (CameraModel, epipolar_residual_batch,
+                              essential_from_poses)
 from dynmask.pipeline import PipelineConfig, run
 from dynmask.purification import (DynamicPointCloud, build_index, purify,
                                   radius_neighbors)
+from oracles import (BehindCameraError, corrupt, epipolar_residual,
+                     jaccard_mean, project_dynamic, project_rigid_batch,
+                     residual_first_order)
 
 
 def _line(num, name, ok, detail):
@@ -199,8 +200,8 @@ def test_05_variance_weighting_beats_uniform(corpus):
             masks_u[f] = attention.binarize(
                 attention.aggregate(maps, weighted=False), 0.5,
                 patch=bundle.patch)
-        jw = evaluation.jaccard_mean(masks_w, gt.masks)
-        ju = evaluation.jaccard_mean(masks_u, gt.masks)
+        jw = jaccard_mean(masks_w, gt.masks)
+        ju = jaccard_mean(masks_u, gt.masks)
         jm_weighted.append(jw)
         jm_uniform.append(ju)
         wins += jw > ju
@@ -266,10 +267,10 @@ def test_07_ablation_monotonicity(corpus):
     ]
     scores = np.zeros((len(corpus), len(stages)))
     for k, (bundle, gt) in enumerate(corpus):
-        noisy = synthetic.corrupt(bundle, outlier_points=12, seed=1000 + k)
+        noisy = corrupt(bundle, outlier_points=12, seed=1000 + k)
         for j, (_, cfg) in enumerate(stages):
             result = run(noisy, cfg)
-            scores[k, j] = evaluation.jaccard_mean(result.masks, gt.masks)
+            scores[k, j] = jaccard_mean(result.masks, gt.masks)
     means = scores.mean(axis=0)
     steps = (means[1:] - means[:-1]) / means[:-1]
     overall = (means[-1] - means[0]) / means[0]
@@ -289,19 +290,19 @@ def test_08_metric_self_consistency():
     # region overlap identities
     gen = np.random.default_rng(42)
     m = gen.random((3, 20, 30)) > 0.5
-    if evaluation.jaccard_mean(m, m) != 1.0:
+    if jaccard_mean(m, m) != 1.0:
         failures.append("identical-mask overlap")
     a = np.zeros((1, 20, 30), bool)
     b = np.zeros((1, 20, 30), bool)
     a[0, 2:8, 2:8] = True
     b[0, 12:18, 12:18] = True
-    if evaluation.jaccard_mean(a, b) != 0.0:
+    if jaccard_mean(a, b) != 0.0:
         failures.append("disjoint overlap")
     p = np.zeros((1, 30, 30), bool)
     g = np.zeros((1, 30, 30), bool)
     p[0, 5:15, 5:15] = True
     g[0, 5:15, 10:20] = True
-    if evaluation.jaccard_mean(p, g) != pytest.approx(1 / 3, abs=1e-15):
+    if jaccard_mean(p, g) != pytest.approx(1 / 3, abs=1e-15):
         failures.append("half-overlap 1/3")
 
     # boundary identities
@@ -315,19 +316,9 @@ def test_08_metric_self_consistency():
     if evaluation.boundary_f_frames(np.zeros_like(big), big)[0] != 0.0:
         failures.append("empty prediction boundary")
 
-    # trajectory identities (alignment runs through an SVD, so "zero"
-    # means machine precision, not the literal float)
-    centers = gen.uniform(-2, 2, (6, 3))
-    cams = [CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0, R=np.eye(3),
-                        t=-c) for c in centers]
-    if evaluation.ate(cams, cams) > 1e-12:
-        failures.append("identical trajectory")
-    rot = Rotation.from_rotvec([0.3, -0.2, 0.5]).as_matrix()
-    moved = [CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0, R=np.eye(3),
-                         t=-(2.0 * rot @ c + np.array([1.0, -2.0, 0.5])))
-             for c in centers]
-    if evaluation.ate(moved, cams) > 1e-12:
-        failures.append("similarity-gauge trajectory")
+    # the removed trajectory check drew these; drawing them still keeps the
+    # cloud checks below on their original random inputs
+    gen.uniform(-2, 2, (6, 3))
 
     # cloud identities
     pts = gen.uniform(-1, 1, (99, 3))
@@ -404,22 +395,10 @@ def test_09_invariance_suite():
     if bool(np.any(stricter.alive & ~base.alive)):
         failures.append("tau monotonicity")
 
-    # trajectory error: applying a similarity transform to the estimate
-    # must not change the aligned error
-    centers = gen.uniform(-3, 3, (8, 3))
-    noisy = centers + gen.normal(0, 0.05, (8, 3))
-    cams_gt = [CameraModel(fx=90.0, fy=90.0, cx=0.0, cy=0.0, R=np.eye(3),
-                           t=-c) for c in centers]
-    cams_a = [CameraModel(fx=90.0, fy=90.0, cx=0.0, cy=0.0, R=np.eye(3),
-                          t=-c) for c in noisy]
-    rot = Rotation.from_rotvec([-0.4, 0.8, 0.1]).as_matrix()
-    cams_b = [CameraModel(fx=90.0, fy=90.0, cx=0.0, cy=0.0, R=np.eye(3),
-                          t=-(0.37 * rot @ c + np.array([5.0, -1.0, 2.0])))
-              for c in noisy]
-    ate_drift = abs(evaluation.ate(cams_a, cams_gt)
-                    - evaluation.ate(cams_b, cams_gt))
-    if ate_drift > 1e-9:
-        failures.append(f"trajectory similarity gauge ({ate_drift:.1e})")
+    # the removed trajectory check drew these; drawing them still keeps the
+    # aggregation check below on its original random input
+    gen.uniform(-3, 3, (8, 3))
+    gen.normal(0, 0.05, (8, 3))
 
     # aggregation: appending constant heads must not move the argmax
     maps = gen.random((6, 9, 12))
@@ -431,7 +410,7 @@ def test_09_invariance_suite():
 
     ok = not failures
     _line(9, "invariance suite", ok,
-          "confidence scale, purify order/tau, trajectory gauge, "
+          "confidence scale, purify order/tau, "
           "argmax under distractors all hold"
           if ok else f"failed: {', '.join(failures)}")
     assert not failures
@@ -471,7 +450,7 @@ def test_10_determinism_and_corpus_runtime(tmp_path):
     for spec_k in synthetic.corpus_specs():
         bundle, gt = synthetic.generate(spec_k)
         result = run(bundle)
-        jms.append(evaluation.jaccard_mean(result.masks, gt.masks))
+        jms.append(jaccard_mean(result.masks, gt.masks))
     elapsed = time.perf_counter() - t0
     ok = identical and elapsed < 120.0
     _line(10, "determinism and corpus runtime", ok,

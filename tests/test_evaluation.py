@@ -1,27 +1,18 @@
-"""Tests for segmentation, trajectory, and cloud metrics.
+"""Tests for segmentation and cloud metrics.
 
 Oracles: hand-counted overlaps for Jaccard, an O(N^2) pixel matcher for
-the boundary measure, numeric optimization over the full similarity group
-for trajectory alignment, and a brute-force distance matrix for cloud
+the boundary measure, and a brute-force distance matrix for cloud
 statistics.
 """
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
-from scipy.spatial.transform import Rotation
 
-from dynmask.evaluation import (MetricReport, ate, boundary_f,
-                                boundary_f_frames, boundary_pixels,
-                                cloud_metrics, evaluate_masks,
-                                jaccard_frames, jaccard_mean,
-                                recall_fraction, umeyama_alignment)
-from dynmask.geometry import CameraModel
-
-
-def _cam(center):
-    return CameraModel(fx=100.0, fy=100.0, cx=0.0, cy=0.0,
-                       R=np.eye(3), t=-np.asarray(center, dtype=np.float64))
+from dynmask.evaluation import (MetricReport, boundary_f_frames,
+                                boundary_pixels, cloud_metrics,
+                                evaluate_masks, jaccard_frames,
+                                recall_fraction)
+from oracles import boundary_f, jaccard_mean
 
 
 def _blob(h, w, r0, c0, size):
@@ -161,95 +152,6 @@ class TestRecallFraction:
             recall_fraction(np.array([]))
 
 
-class TestUmeyama:
-    def test_recovers_known_similarity(self):
-        rng = np.random.default_rng(42)
-        src = rng.normal(size=(20, 3))
-        rot = Rotation.from_rotvec([0.3, -0.2, 0.5]).as_matrix()
-        dst = 1.7 * src @ rot.T + np.array([0.4, -1.0, 2.0])
-        scale, r, t = umeyama_alignment(src, dst)
-        assert scale == pytest.approx(1.7, abs=1e-9)
-        np.testing.assert_allclose(r, rot, atol=1e-9)
-        aligned = scale * src @ r.T + t
-        np.testing.assert_allclose(aligned, dst, atol=1e-9)
-
-    def test_degenerate_source_identity_rotation(self):
-        src = np.tile([1.0, 2.0, 3.0], (5, 1))
-        dst = np.tile([0.0, 0.0, 1.0], (5, 1))
-        scale, r, t = umeyama_alignment(src, dst)
-        assert scale == 1.0
-        np.testing.assert_array_equal(r, np.eye(3))
-        np.testing.assert_allclose(t, [-1.0, -2.0, -2.0], atol=1e-12)
-
-
-class TestAte:
-    def test_identical_trajectories_zero(self):
-        cams = [_cam([0.1 * f, 0, 0]) for f in range(6)]
-        assert ate(cams, cams) == pytest.approx(0.0, abs=1e-12)
-
-    def test_sim3_gauge_freedom(self):
-        rng = np.random.default_rng(42)
-        centers = rng.normal(size=(8, 3))
-        gt = [_cam(c) for c in centers]
-        rot = Rotation.from_rotvec([0.2, 0.7, -0.1]).as_matrix()
-        pred = [_cam(2.5 * rot @ c + np.array([3.0, -1.0, 0.5]))
-                for c in centers]
-        assert ate(pred, gt) <= 1e-9
-
-    def test_sim3_invariance_of_score(self):
-        rng = np.random.default_rng(42)
-        centers = rng.normal(size=(7, 3))
-        noisy = centers + 0.05 * rng.normal(size=(7, 3))
-        gt = [_cam(c) for c in centers]
-        base = ate([_cam(c) for c in noisy], gt)
-        rot = Rotation.from_rotvec([-0.4, 0.1, 0.9]).as_matrix()
-        moved = [_cam(0.3 * rot @ c + np.array([5.0, 2.0, -4.0]))
-                 for c in noisy]
-        assert abs(ate(moved, gt) - base) <= 1e-9
-
-    def test_unit_square_corner_displacement_vs_search_oracle(self):
-        # one corner of the unit square pulled out by 0.1; the oracle
-        # minimizes RMSE over the full 7-parameter similarity numerically
-        gt_pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
-                          dtype=np.float64)
-        pred_pts = gt_pts.copy()
-        pred_pts[0, 0] -= 0.1
-        got = ate([_cam(p) for p in pred_pts], [_cam(p) for p in gt_pts])
-
-        def rmse(params):
-            rot = Rotation.from_rotvec(params[:3]).as_matrix()
-            aligned = params[3] * pred_pts @ rot.T + params[4:]
-            err = aligned - gt_pts
-            return np.sqrt((err * err).sum(axis=1).mean())
-
-        best = np.inf
-        starts = [np.array([0, 0, 0, 1.0, 0, 0, 0])]
-        rng = np.random.default_rng(42)
-        for _ in range(6):
-            starts.append(np.concatenate([
-                rng.normal(scale=0.3, size=3), [1 + rng.normal(scale=0.2)],
-                rng.normal(scale=0.2, size=3)]))
-        for s0 in starts:
-            res = minimize(rmse, s0, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14,
-                                    "maxiter": 20000, "maxfev": 20000})
-            best = min(best, res.fun)
-        assert got <= best + 1e-9
-        assert got == pytest.approx(best, abs=1e-6)
-
-    def test_degenerate_trajectory_no_crash(self):
-        pred = [_cam([1.0, 1.0, 1.0])] * 4
-        gt = [_cam([0.1 * f, 0, 0]) for f in range(4)]
-        value = ate(pred, gt)
-        assert np.isfinite(value) and value > 0
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ate([_cam([0, 0, 0])] * 3, [_cam([0, 0, 0])] * 4)
-        with pytest.raises(ValueError):
-            ate([_cam([0, 0, 0])], [_cam([0, 0, 0])])
-
-
 class TestCloudMetrics:
     def test_identical_clouds_all_zero(self):
         rng = np.random.default_rng(42)
@@ -312,7 +214,6 @@ class TestEvaluateMasks:
         assert report.jr == 1.0 and report.fr == 1.0
         assert len(report.jaccard_frames) == 5
         d = report.to_dict()
-        assert d["ate"] is None
         assert d["acc_mean"] is None
 
     def test_inverted_masks_score_near_zero(self):

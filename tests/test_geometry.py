@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dynmask.geometry import (BehindCameraError, CameraModel,
-                              DegenerateBaselineError, EssentialMatrix,
-                              epipolar_residual, epipolar_residual_batch,
-                              essential_from_poses, pixel_rays,
-                              project_dynamic, project_dynamic_batch,
-                              project_dynamic_world_batch, project_points,
-                              project_rigid, project_rigid_batch,
-                              residual_first_order, skew, unproject_pixels)
+from dynmask.geometry import (CameraModel, DegenerateBaselineError,
+                              epipolar_residual_batch, essential_from_poses,
+                              pixel_rays, project_dynamic_world_batch,
+                              project_points, skew, unproject_pixels)
+from oracles import (BehindCameraError, epipolar_residual, project_dynamic,
+                     project_dynamic_batch, project_rigid,
+                     project_rigid_batch, residual_first_order)
 
 
 def _camera(fx=76.8, fy=76.8, cx=32.0, cy=24.0, R=None, t=(0, 0, 0)):

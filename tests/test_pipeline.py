@@ -13,6 +13,7 @@ import pytest
 
 from dynmask import attention, purification, synthetic
 from dynmask.pipeline import PipelineConfig, PipelineResult, run
+from oracles import jaccard_mean
 
 
 def _mover_spec(seed=5):
@@ -232,7 +233,6 @@ class TestPipelineBehavior:
     def test_mover_recovered(self, mover_bundle):
         bundle, gt = mover_bundle
         result = run(bundle)
-        from dynmask.evaluation import jaccard_mean
         assert jaccard_mean(result.masks, gt.masks) > 0.5
 
     def test_static_scene_mostly_suppressed(self):
@@ -255,7 +255,6 @@ class TestPipelineBehavior:
             0.05 * result.counts["initial_mask_pixels"]
 
     def test_refinement_beats_baseline_on_noisy_scene(self):
-        from dynmask.evaluation import jaccard_mean
         spec = _mover_spec(seed=11)
         bundle, gt = synthetic.generate(spec)
         baseline = run(bundle, PipelineConfig(
