@@ -86,22 +86,6 @@ class CameraModel:
         return (pts - self.t) @ self.R
 
 
-@dataclass(frozen=True)
-class EssentialMatrix:
-    """Essential matrix of a camera pair, optionally baseline-normalized."""
-
-    matrix: np.ndarray
-    unit_baseline: bool = False
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise ValueError(f"essential matrix shape {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
     x, y, z = np.asarray(v, dtype=np.float64).reshape(3)
@@ -111,8 +95,8 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def essential_from_poses(ref: CameraModel, tgt: CameraModel,
-                         unit_baseline: bool = False) -> EssentialMatrix:
-    """Essential matrix [t_rel]x R_rel of the pair (ref, tgt).
+                         unit_baseline: bool = False) -> np.ndarray:
+    """Read-only (3, 3) essential matrix [t_rel]x R_rel of the pair (ref, tgt).
 
     With `unit_baseline` the translation is scaled to unit length first,
     which makes epipolar residuals comparable across pairs with different
@@ -125,7 +109,9 @@ def essential_from_poses(ref: CameraModel, tgt: CameraModel,
         raise DegenerateBaselineError(
             f"baseline {baseline:.3e} below {MIN_BASELINE:.0e}")
     t = t_rel / baseline if unit_baseline else t_rel
-    return EssentialMatrix(matrix=skew(t) @ R_rel, unit_baseline=unit_baseline)
+    essential = skew(t) @ R_rel
+    essential.flags.writeable = False
+    return essential
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +165,9 @@ def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def epipolar_residual_batch(pixels_ref: np.ndarray, pixels_tgt: np.ndarray,
-                            essential: EssentialMatrix,
+                            essential: np.ndarray,
                             intrinsics: CameraModel) -> np.ndarray:
     """Signed epipolar residual x_t^T E x_r in normalized coordinates, (N,)."""
     xr = pixel_rays(pixels_ref, intrinsics)
     xt = pixel_rays(pixels_tgt, intrinsics)
-    return np.einsum("ni,ij,nj->n", xt, essential.matrix, xr)
+    return np.einsum("ni,ij,nj->n", xt, essential, xr)

@@ -94,8 +94,14 @@ class SceneSpec:
         if self.width % self.patch or self.height % self.patch:
             raise ValueError(
                 f"patch {self.patch} must divide {self.width}x{self.height}")
-        if self.depth_sigma < 0 or self.high_fraction < 0 or self.high_fraction > 1:
+        if (self.depth_sigma < 0 or self.high_sigma_factor < 0
+                or not 0 <= self.high_fraction <= 1):
             raise ValueError("invalid noise parameters")
+        if self.checker <= 0:
+            raise ValueError(f"checker {self.checker} must be > 0")
+        for i, mover in enumerate(self.movers):
+            if mover.size <= 0:
+                raise ValueError(f"mover {i} size {mover.size} must be > 0")
         if self.signal_heads < 1 or self.noise_heads < 0:
             raise ValueError("need at least one signal head")
 
@@ -182,7 +188,6 @@ class GroundTruth:
     true_depths: np.ndarray     # (T, H, W) float32, noise-free
     instances: np.ndarray       # (T, H, W) int32, mover index or -1
     mover_positions: np.ndarray  # (num_movers, T, 3)
-    sigma_maps: np.ndarray      # (T, H, W) float32, applied noise sigma
 
     def displacement(self, instance: int, ref_frame: int,
                      tgt_frame: int) -> np.ndarray:
@@ -373,7 +378,6 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
     masks = np.zeros((t, h, w), dtype=bool)
     depths = np.zeros((t, h, w), dtype=np.float32)
     logits = np.zeros((t, h, w), dtype=np.float32)
-    sigma_maps = np.zeros((t, h, w), dtype=np.float32)
     attention = np.zeros((t, spec.signal_heads + spec.noise_heads,
                           h // spec.patch, w // spec.patch), dtype=np.float32)
 
@@ -394,7 +398,6 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
             masks[f] = (inst >= 0) & dynamic[np.maximum(inst, 0)]
 
         sigma = _sigma_map(spec, f)
-        sigma_maps[f] = sigma.astype(np.float32)
         valid = depth > 0
         noisy = depth.copy()
         if spec.depth_sigma > 0:
@@ -413,13 +416,12 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
     bundle = SceneBundle(
         images=images, depths=depths, confidence_logits=logits,
         attention=attention, cameras=cams, patch=spec.patch,
-        gt_masks=masks, gt_cameras=cams)
+        gt_masks=masks)
     gt = GroundTruth(
         masks=masks, cameras=cams, true_depths=true_depths,
         instances=instances,
         mover_positions=np.stack([m.positions(t) for m in spec.movers])
-        if spec.movers else np.zeros((0, t, 3)),
-        sigma_maps=sigma_maps)
+        if spec.movers else np.zeros((0, t, 3)))
 
     if out_dir is not None:
         save_scene(bundle, out_dir)
@@ -442,24 +444,24 @@ def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:
         "true_depths": write_stack(gt.true_depths, out, "gt_depth"),
         "instances": write_stack(gt.instances.astype(np.float32), out,
                                  "gt_inst"),
-        "sigma_maps": write_stack(gt.sigma_maps, out, "gt_sigma"),
     }, out / "gt.json")
 
 
 def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
     """Reload the ground truth saved next to a scene bundle.
 
-    Every stack must match the bundle's (T, H, W) and the mover positions
-    must be (M, T, 3); anything else raises SceneFormatError.
+    Both stacks must match the bundle's (T, H, W), true depths must be
+    finite and >= 0, instance ids whole numbers in [-1, movers), and the
+    mover positions (movers, T, 3); anything else raises SceneFormatError.
+    The cameras are the bundle's.
     """
-    if bundle.gt_masks is None or bundle.gt_cameras is None:
-        raise SceneFormatError("bundle carries no ground-truth masks/cameras")
+    if bundle.gt_masks is None:
+        raise SceneFormatError("bundle carries no ground-truth masks")
     root = Path(scene_dir)
     manifest = read_manifest(root / "gt.json")
     t, hw = bundle.frames, (bundle.height, bundle.width)
-    true_depths, instances, sigma_maps = (
-        read_stack(root, manifest, key, t, hw)
-        for key in ("true_depths", "instances", "sigma_maps"))
+    true_depths, instances = (read_stack(root, manifest, key, t, hw)
+                              for key in ("true_depths", "instances"))
     movers = manifest.get("movers")
     if not isinstance(movers, list):
         raise SceneFormatError("gt.json movers is missing or not a list")
@@ -471,10 +473,16 @@ def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
             raise SceneFormatError(f"{where} must list {t} positions")
         positions[i] = [json_vector(p, 3, where, SceneFormatError)
                         for p in track]
+    if not (np.isfinite(true_depths) & (true_depths >= 0)).all():
+        raise SceneFormatError("gt.json true_depths must be finite and >= 0")
+    if not ((instances == np.round(instances)) & (instances >= -1)
+            & (instances < len(movers))).all():
+        raise SceneFormatError(
+            f"gt.json instances must be whole numbers in [-1, {len(movers)})")
     return GroundTruth(
-        masks=bundle.gt_masks, cameras=bundle.gt_cameras,
+        masks=bundle.gt_masks, cameras=bundle.cameras,
         true_depths=true_depths, instances=instances.astype(np.int32),
-        mover_positions=positions, sigma_maps=sigma_maps)
+        mover_positions=positions)
 
 
 def corpus_specs(count: int = 20, frames: int = 6, width: int = 96,

@@ -233,8 +233,7 @@ class SceneBundle:
     attention: np.ndarray          # (T, heads, H', W'), per-head responses
     cameras: list[CameraModel]
     patch: int
-    gt_masks: np.ndarray | None = None       # (T, H, W) bool
-    gt_cameras: list[CameraModel] | None = None
+    gt_masks: np.ndarray | None = None  # (T, H, W) bool
 
     @property
     def frames(self) -> int:
@@ -279,21 +278,17 @@ def validate_bundle(bundle: SceneBundle) -> None:
                       (bundle.attention, "attentions")):
         if not np.isfinite(arr).all():
             raise SceneFormatError(f"non-finite value (NaN or inf) in {name}")
-    for cams, name in ((bundle.cameras, "camera"),
-                       (bundle.gt_cameras or [], "gt camera")):
-        for f, cam in enumerate(cams):
-            params = np.concatenate([[cam.fx, cam.fy, cam.cx, cam.cy],
-                                     cam.R.ravel(), cam.t])
-            if not np.isfinite(params).all():
-                raise SceneFormatError(f"non-finite {name} {f} parameters")
+    for f, cam in enumerate(bundle.cameras):
+        params = np.concatenate([[cam.fx, cam.fy, cam.cx, cam.cy],
+                                 cam.R.ravel(), cam.t])
+        if not np.isfinite(params).all():
+            raise SceneFormatError(f"non-finite camera {f} parameters")
     if (bundle.depths < 0).any():
         raise SceneFormatError("negative depth value")
     if bundle.images.min() < 0 or bundle.images.max() > 1:
         raise SceneFormatError("image values outside [0, 1]")
     if bundle.gt_masks is not None and bundle.gt_masks.shape != (t, h, w):
         raise SceneFormatError(f"gt mask shape {bundle.gt_masks.shape}")
-    if bundle.gt_cameras is not None and len(bundle.gt_cameras) != t:
-        raise SceneFormatError(f"{len(bundle.gt_cameras)} gt cameras for {t} frames")
 
 
 def _camera_to_json(cam: CameraModel) -> dict:
@@ -321,11 +316,11 @@ def _camera_from_json(entry, where: str) -> CameraModel:
         raise SceneFormatError(f"invalid camera: {exc}") from exc
 
 
-def _cameras_from_json(manifest: dict, key: str) -> list[CameraModel]:
-    entries = manifest.get(key)
+def _cameras_from_json(manifest: dict) -> list[CameraModel]:
+    entries = manifest.get("cameras")
     if not isinstance(entries, list):
-        raise SceneFormatError(f"manifest {key} is not a list of cameras")
-    return [_camera_from_json(c, f"{key}[{i}]")
+        raise SceneFormatError("manifest cameras is not a list of cameras")
+    return [_camera_from_json(c, f"cameras[{i}]")
             for i, c in enumerate(entries)]
 
 
@@ -420,13 +415,15 @@ def save_scene(bundle: SceneBundle, out_dir: str | Path) -> None:
     if bundle.gt_masks is not None:
         manifest["gt_masks"] = write_stack(
             bundle.gt_masks.astype(bool, copy=False), out, "gt_mask", "pgm")
-    if bundle.gt_cameras is not None:
-        manifest["gt_cameras"] = [_camera_to_json(c) for c in bundle.gt_cameras]
     write_json(manifest, out / "scene.json")
 
 
 def load_scene(scene_dir: str | Path) -> SceneBundle:
-    """Load and fully validate a scene bundle from a directory."""
+    """Load and fully validate a scene bundle from a directory.
+
+    Manifest keys the loader does not read are ignored, so directories
+    written with keys that later versions dropped still load.
+    """
     root = Path(scene_dir)
     manifest = read_manifest(root / "scene.json")
     t, height, width, heads, patch = (
@@ -435,13 +432,10 @@ def load_scene(scene_dir: str | Path) -> SceneBundle:
     stacks = {field: read_stack(root, manifest, key, t)
               for field, key, _ in _SCENE_STACKS}
     bundle = SceneBundle(
-        **stacks, cameras=_cameras_from_json(manifest, "cameras"),
+        **stacks, cameras=_cameras_from_json(manifest),
         patch=patch,
         gt_masks=read_stack(root, manifest, "gt_masks", t, ext="pgm")
-        if "gt_masks" in manifest else None,
-        gt_cameras=_cameras_from_json(manifest, "gt_cameras")
-        if "gt_cameras" in manifest else None,
-    )
+        if "gt_masks" in manifest else None)
     validate_bundle(bundle)
     if (bundle.height, bundle.width, bundle.heads) != (height, width, heads):
         raise SceneFormatError(

@@ -3,8 +3,9 @@
 No pipeline or CLI path runs these, so they live with the tests: the
 single-pixel and camera-frame-motion warps, the scalar epipolar residual
 and its first-order estimate, the mean Jaccard and boundary scores, the
-analytic depth cast at arbitrary pixels, and the outlier injection of the
-ablation gate.
+analytic depth cast at arbitrary pixels, the outlier injection of the
+ablation gate, and the table of malformed ground-truth directories that
+both the loader and the CLI must reject.
 """
 
 from dataclasses import replace
@@ -15,12 +16,12 @@ from scipy import ndimage
 from dynmask import rng
 from dynmask.evaluation import (DEFAULT_BOUNDARY_TOL, boundary_f_frames,
                                 jaccard_frames)
-from dynmask.geometry import (MIN_DEPTH, CameraModel, EssentialMatrix,
-                              epipolar_residual_batch, essential_from_poses,
-                              pixel_rays, project_dynamic_world_batch,
-                              project_points, unproject_pixels)
+from dynmask.geometry import (MIN_DEPTH, CameraModel, epipolar_residual_batch,
+                              essential_from_poses, pixel_rays,
+                              project_dynamic_world_batch, project_points,
+                              unproject_pixels)
 from dynmask.synthetic import SceneSpec, _cast_rays, _ray_directions
-from dynmask.tensor_io import SceneBundle
+from dynmask.tensor_io import SceneBundle, read_tensor, write_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def project_rigid(pixel: np.ndarray, depth: float, ref: CameraModel,
 # ---------------------------------------------------------------------------
 
 def epipolar_residual(pixel_ref: np.ndarray, pixel_tgt: np.ndarray,
-                      essential: EssentialMatrix,
+                      essential: np.ndarray,
                       intrinsics: CameraModel) -> float:
     """Signed epipolar residual of one correspondence.
 
@@ -102,7 +103,7 @@ def residual_first_order(pixel_ref: np.ndarray, depth: float,
     """
     ess = essential_from_poses(ref, tgt, unit_baseline=True)
     x_hat = pixel_rays(pixel_ref, ref)[0]
-    line = ess.matrix @ x_hat
+    line = ess @ x_hat
     norm = np.linalg.norm(line)
     if norm <= 1e-15:
         return 0.0
@@ -195,3 +196,34 @@ def corrupt(bundle: SceneBundle, outlier_points: int = 0,
             raise RuntimeError(
                 "could not place outlier away from the dynamic region")
     return out
+
+
+def _set_pixel(path, value: float) -> None:
+    """Overwrite pixel (0, 0) of the tensor file at `path`."""
+    arr = read_tensor(path)
+    arr[0, 0] = value
+    write_tensor(arr, path)
+
+
+# malformed gt.json directories: (gt.json manifest, scene directory) -> None
+GT_BREAKAGES = {
+    "missing-key": lambda gt, root: gt.pop("instances"),
+    "short-list": lambda gt, root: gt["instances"].pop(),
+    "missing-file": lambda gt, root: (root / gt["true_depths"][1]).unlink(),
+    "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
+                                  for name in gt["true_depths"]],
+    "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
+    "position-strings": lambda gt, root: gt["movers"][0].update(
+        positions=[list(map(str, p)) for p in gt["movers"][0]["positions"]]),
+    "depth-negated": lambda gt, root: [
+        write_tensor(-read_tensor(root / name), root / name)
+        for name in gt["true_depths"]],
+    "depth-infinite": lambda gt, root: _set_pixel(
+        root / gt["true_depths"][1], np.inf),
+    "instance-past-movers": lambda gt, root: _set_pixel(
+        root / gt["instances"][0], len(gt["movers"])),
+    "instance-below-static": lambda gt, root: _set_pixel(
+        root / gt["instances"][0], -2),
+    "instance-fraction": lambda gt, root: _set_pixel(
+        root / gt["instances"][0], 0.5),
+}

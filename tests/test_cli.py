@@ -15,8 +15,10 @@ import pytest
 from dynmask import cli, evaluation
 from dynmask.cli import main
 from dynmask.pipeline import PipelineConfig, run
+from dynmask.synthetic import SceneSpec, _sigma_map
 from dynmask.tensor_io import (load_scene, read_pgm, read_tensor, write_pgm,
-                               write_tensor)
+                               write_stack, write_tensor)
+from oracles import GT_BREAKAGES
 
 SPEC = {
     "seed": 9,
@@ -348,7 +350,6 @@ class TestEval:
         shutil.copytree(scene_dir, bare)
         manifest = json.loads((bare / "scene.json").read_text())
         manifest.pop("gt_masks")
-        manifest.pop("gt_cameras")
         (bare / "scene.json").write_text(json.dumps(manifest))
         target = tmp_path / "report.json"
         assert main(["eval", str(pred_dir), str(bare),
@@ -369,19 +370,6 @@ class TestEval:
         assert "body has" in capsys.readouterr().err
 
 
-# malformed gt.json directories: (gt.json manifest, scene directory) -> None
-GT_BREAKAGES = {
-    "missing-key": lambda gt, root: gt.pop("sigma_maps"),
-    "short-list": lambda gt, root: gt["instances"].pop(),
-    "missing-file": lambda gt, root: (root / gt["true_depths"][1]).unlink(),
-    "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
-                                  for name in gt["true_depths"]],
-    "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
-    "position-strings": lambda gt, root: gt["movers"][0].update(
-        positions=[list(map(str, p)) for p in gt["movers"][0]["positions"]]),
-}
-
-
 @pytest.mark.parametrize("breakage", sorted(GT_BREAKAGES))
 @pytest.mark.parametrize("command", ["eval", "residuals"])
 def test_malformed_ground_truth_is_data_error(tmp_path, scene_dir, pred_dir,
@@ -396,6 +384,37 @@ def test_malformed_ground_truth_is_data_error(tmp_path, scene_dir, pred_dir,
             else [command, str(broken), "--out", str(tmp_path / "res")])
     assert main(argv) == 2
     assert f"dynmask {command}: error:" in capsys.readouterr().err
+    # the ground truth is checked before any output is written
+    assert not (tmp_path / "res").exists()
+
+
+def test_old_layout_scene_gives_identical_outputs(tmp_path, scene_dir,
+                                                  pred_dir, capsys):
+    # older scene directories also stored a copy of the cameras in
+    # scene.json and the applied noise sigma as a gt.json stack; the
+    # loaders ignore both
+    old = tmp_path / "old-scene"
+    shutil.copytree(scene_dir, old)
+    scene = json.loads((old / "scene.json").read_text())
+    scene["gt_cameras"] = scene["cameras"]
+    (old / "scene.json").write_text(json.dumps(scene))
+    spec = SceneSpec.from_dict(SPEC)
+    gt = json.loads((old / "gt.json").read_text())
+    gt["sigma_maps"] = write_stack(
+        np.stack([_sigma_map(spec, f) for f in range(spec.frames)]), old,
+        "gt_sigma")
+    (old / "gt.json").write_text(json.dumps(gt))
+    outputs = {}
+    for root in (scene_dir, old):
+        out = tmp_path / f"out-{root.name}"
+        assert main(["eval", str(pred_dir), str(root),
+                     "--out", str(out / "report.json")]) == 0
+        assert main(["residuals", str(root), "--out", str(out / "res")]) == 0
+        outputs[root] = {p.relative_to(out): p.read_bytes()
+                         for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert len(outputs[old]) == 2 + SPEC["frames"] - 1
+    assert outputs[old] == outputs[scene_dir]
 
 
 class TestResiduals:

@@ -211,7 +211,13 @@ class TestEssentialMatrix:
         ref = _camera()
         tgt = _camera(t=(1.0, 0.0, 0.0))
         E = essential_from_poses(ref, tgt)
-        np.testing.assert_allclose(E.matrix, skew([1.0, 0.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(E, skew([1.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_read_only_array(self):
+        E = essential_from_poses(_camera(), _camera(t=(1.0, 0.0, 0.0)))
+        assert isinstance(E, np.ndarray) and E.shape == (3, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            E[0, 0] = 1.0
 
     def test_skew_is_cross_product(self):
         gen = np.random.default_rng(5)
@@ -224,8 +230,7 @@ class TestEssentialMatrix:
         tgt = _camera(t=(0.0, 3.0, 0.0))
         raw = essential_from_poses(ref, tgt)
         unit = essential_from_poses(ref, tgt, unit_baseline=True)
-        np.testing.assert_allclose(unit.matrix * 3.0, raw.matrix, atol=1e-12)
-        assert unit.unit_baseline
+        np.testing.assert_allclose(unit * 3.0, raw, atol=1e-12)
 
     def test_degenerate_baseline(self):
         cam = _camera()
@@ -235,7 +240,7 @@ class TestEssentialMatrix:
     def test_rank_two(self):
         gen = np.random.default_rng(8)
         ref, tgt = _random_camera(gen), _random_camera(gen)
-        E = essential_from_poses(ref, tgt).matrix
+        E = essential_from_poses(ref, tgt)
         s = np.linalg.svd(E, compute_uv=False)
         assert s[2] < 1e-12 * s[0]
 
@@ -291,7 +296,7 @@ class TestEpipolarResidual:
                 continue
             hits += 1
             x_hat = ref.K_inv @ np.array([pix[0], pix[1], 1.0])
-            line = E.matrix @ x_hat
+            line = E @ x_hat
             oracle = float(motion @ line) / z_t
             got = epipolar_residual(pix, uv_t, E, ref)
             np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-13)
@@ -303,7 +308,6 @@ class TestEpipolarResidual:
         for scale in (1.0, 2.0):
             tgt = _camera(t=(0.4 * scale, 0.0, 0.0))
             E = essential_from_poses(ref, tgt, unit_baseline=True)
-            assert E.unit_baseline
             np.testing.assert_allclose(np.linalg.norm(
                 _relative_pose(ref, tgt)[1]), 0.4 * scale)
 

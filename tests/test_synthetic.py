@@ -19,10 +19,10 @@ from scipy import ndimage
 from dynmask import attention, purification
 from dynmask.geometry import (project_dynamic_world_batch, project_points,
                               unproject_pixels)
-from dynmask.synthetic import MoverSpec, SceneSpec, generate, load_ground_truth
-from dynmask.tensor_io import (SceneFormatError, load_scene, validate_bundle,
-                               write_tensor)
-from oracles import cast_depth, corrupt, project_rigid_batch
+from dynmask.synthetic import (MoverSpec, SceneSpec, _sigma_map, generate,
+                               load_ground_truth)
+from dynmask.tensor_io import SceneFormatError, load_scene, validate_bundle
+from oracles import GT_BREAKAGES, cast_depth, corrupt, project_rigid_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,10 +112,14 @@ class TestSpecParsing:
         {"movers": [{"size": 0.3, "start": [0, 0, 3], "color": "red"}]},
         {"movers": {}}, [], {"seed": 10 ** 400},
         {"movers": [{"size": 0.3, "start": ["0", "0", "3"]}]},
-        {"seed": 2 ** 64}, {"seed": -1},
+        {"seed": 2 ** 64}, {"seed": -1}, {"background": {"checker": 0}},
+        {"noise": {"high_sigma_factor": -1}},
+        {"movers": [{"size": 0, "start": [0, 0, 3]}]},
+        {"movers": [{"size": -0.3, "start": [0, 0, 3]}]},
     ], ids=["string", "bool", "null", "nan", "section-list", "short-start",
             "color-string", "movers-object", "spec-list", "seed-huge",
-            "start-strings", "seed-2**64", "seed-negative"])
+            "start-strings", "seed-2**64", "seed-negative", "checker-zero",
+            "high-sigma-negative", "mover-size-zero", "mover-size-negative"])
     def test_malformed_value_rejected(self, raw):
         with pytest.raises(ValueError):
             SceneSpec.from_dict(raw)
@@ -313,8 +317,8 @@ class TestNoiseAndLogits:
         spec = _static_spec()
         spec.depth_sigma = 0.02
         spec.high_fraction = 0.3
-        bundle, gt = generate(spec)
-        sigma = gt.sigma_maps.astype(np.float64)
+        bundle, _ = generate(spec)
+        sigma = np.stack([_sigma_map(spec, f) for f in range(spec.frames)])
         expected = np.float32(-2.0) * np.log(sigma.astype(np.float32))
         np.testing.assert_allclose(bundle.confidence_logits, expected,
                                    atol=1e-5)
@@ -323,11 +327,11 @@ class TestNoiseAndLogits:
         spec = _static_spec()
         spec.depth_sigma = 0.02
         spec.high_fraction = 0.3
-        _, gt = generate(spec)
-        values = np.unique(gt.sigma_maps)
+        sigma = np.stack([_sigma_map(spec, f) for f in range(spec.frames)])
+        values = np.unique(sigma)
         assert len(values) == 2
         assert values[1] == pytest.approx(10 * values[0], rel=1e-6)
-        frac = (gt.sigma_maps == values[1]).mean()
+        frac = (sigma == values[1]).mean()
         assert 0.05 < frac < 0.7
 
     def test_noise_differs_between_frames(self):
@@ -411,6 +415,19 @@ class TestDeterminism:
         assert not np.array_equal(ba.depths, bb.depths)
         assert not np.array_equal(ba.attention, bb.attention)
 
+    def test_every_file_is_named_by_a_manifest(self, tmp_path):
+        spec = _mover_spec(seed=4)
+        spec.depth_sigma = 0.02
+        generate(spec, tmp_path)
+        named = {"scene.json", "gt.json"}
+        for manifest in named.copy():
+            raw = json.loads((tmp_path / manifest).read_text())
+            for value in raw.values():
+                if isinstance(value, list) and all(isinstance(v, str)
+                                                   for v in value):
+                    named.update(value)
+        assert {p.name for p in tmp_path.iterdir()} == named
+
     def test_scene_roundtrip_via_loader(self, tmp_path):
         spec = _mover_spec(seed=3)
         bundle, gt = generate(spec, tmp_path)
@@ -421,21 +438,7 @@ class TestDeterminism:
         gt2 = load_ground_truth(tmp_path, loaded)
         np.testing.assert_array_equal(gt2.true_depths, gt.true_depths)
         np.testing.assert_array_equal(gt2.instances, gt.instances)
-        np.testing.assert_array_equal(gt2.sigma_maps, gt.sigma_maps)
         np.testing.assert_array_equal(gt2.mover_positions, gt.mover_positions)
-
-
-# malformed gt.json directories: (gt.json manifest, scene directory) -> None
-_GT_BREAKAGES = {
-    "missing-key": lambda gt, root: gt.pop("sigma_maps"),
-    "short-list": lambda gt, root: gt["instances"].pop(),
-    "missing-file": lambda gt, root: (root / gt["true_depths"][1]).unlink(),
-    "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
-                                  for name in gt["true_depths"]],
-    "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
-    "position-strings": lambda gt, root: gt["movers"][0].update(
-        positions=[list(map(str, p)) for p in gt["movers"][0]["positions"]]),
-}
 
 
 class TestGroundTruthChecks:
@@ -445,13 +448,13 @@ class TestGroundTruthChecks:
         generate(_mover_spec(seed=3, frames=4), root)
         return root
 
-    @pytest.mark.parametrize("breakage", sorted(_GT_BREAKAGES))
+    @pytest.mark.parametrize("breakage", sorted(GT_BREAKAGES))
     def test_malformed_ground_truth_rejected(self, scene, tmp_path,
                                              breakage):
         broken = tmp_path / "scene"
         shutil.copytree(scene, broken)
         manifest = json.loads((broken / "gt.json").read_text())
-        _GT_BREAKAGES[breakage](manifest, broken)
+        GT_BREAKAGES[breakage](manifest, broken)
         (broken / "gt.json").write_text(json.dumps(manifest))
         with pytest.raises(SceneFormatError):
             load_ground_truth(broken, load_scene(broken))

@@ -140,7 +140,6 @@ def _tiny_bundle(frames=2, h=8, w=12, heads=3, patch=4, seed=0):
         attention=gen.random((frames, heads, h // patch, w // patch)).astype(np.float32),
         cameras=cams, patch=patch,
         gt_masks=gen.random((frames, h, w)) > 0.7,
-        gt_cameras=cams,
     )
 
 
@@ -203,7 +202,7 @@ class TestSceneBundle:
         with pytest.raises(SceneFormatError, match="non-finite"):
             validate_bundle(bundle)
 
-    @pytest.mark.parametrize("which", ["cameras", "gt_cameras"])
+    @pytest.mark.parametrize("which", ["cameras"])
     @pytest.mark.parametrize("params", [
         {"fx": np.inf}, {"cy": np.nan}, {"t": np.array([0.0, np.inf, 0.0])},
         {"R": np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, np.nan]])},
@@ -265,19 +264,17 @@ class TestSceneBundle:
         (("cameras", 0, "t"), DROP, "camera missing"),
         (("cameras", 0, "fx"), None, "camera"),
         (("cameras", 0, "R"), [1.0] * 8, "camera"),
-        (("gt_cameras", 1, "cy"), DROP, "camera missing"),
         (("cameras", 0, "fx"), True, "cameras.0. fx"),
         (("cameras", 0, "fx"), "38.4", "cameras.0. fx"),
         (("cameras", 1, "R"), ["1", "0", "0", "0", "1", "0", "0", "0", "1"],
          "cameras.1. R"),
-        (("gt_cameras", 0, "t"), ["0", "0", "0"], "gt_cameras.0. t"),
         (("frames",), 10 ** 400, "frames"),
     ], ids=["missing-stack", "short-stack", "non-string-name",
             "short-gt-masks", "frames-string", "patch-fraction",
             "missing-heads", "height-mismatch", "cameras-object",
             "camera-list", "camera-no-t", "camera-fx-null", "camera-short-R",
-            "gt-camera-no-cy", "camera-fx-bool", "camera-fx-string",
-            "camera-R-strings", "gt-camera-t-strings", "frames-huge"])
+            "camera-fx-bool", "camera-fx-string", "camera-R-strings",
+            "frames-huge"])
     def test_malformed_manifest_rejected(self, tmp_path, where, value, match):
         save_scene(_tiny_bundle(), tmp_path / "scene")
         path = tmp_path / "scene" / "scene.json"
