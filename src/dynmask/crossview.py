@@ -10,7 +10,7 @@ threshold are re-labeled static; the survivors form the final masks after
 a single morphological closing pass.
 
 The sampler is exact, not approximate: each view's depth, RGB and
-confidence are sampled channel-major from one (5, H*W) array, but every
+confidence are sampled plane-major from one (5, H, W) array, but every
 point still sums its taps in the order 00, 01, 10, 11 and its views in
 index order, so scores are bit-identical to sampling the (H, W, C) stack
 tap by tap with per-point (N, C) gathers.
@@ -43,25 +43,23 @@ def activate_confidence(logits: np.ndarray) -> np.ndarray:
     return 1.0 + np.exp(l)
 
 
-def bilinear_sample(values: np.ndarray, support: np.ndarray,
+def bilinear_sample(planes: np.ndarray, support: np.ndarray,
                     u: np.ndarray, v: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear interpolation restricted to a validity mask.
+    """Bilinear interpolation of (C, H, W) planes, restricted to a mask.
 
-    `values` is (H, W) or (H, W, C); `support` (H, W) marks pixels allowed
-    to contribute.  Taps outside the image or outside the support get zero
-    weight and the rest are renormalized.  Returns (sampled, ok) where ok
-    is False when no tap had weight (sampled is 0 there).
-
-    Sampling runs channel-major: the channels are read as (C, H*W) planes
-    (without a copy when `values` is the (H, W, C) transpose of contiguous
-    planes, as `score_cloud` passes them), and each tap gathers every
-    channel with one `np.take` along the pixel axis.
+    `support` (H, W) marks pixels allowed to contribute.  Taps outside the
+    image or outside the support get zero weight and the rest are
+    renormalized.  Returns (sampled, ok): sampled is (C, N), and ok is
+    False where no tap had weight (sampled is 0 there).  Each tap gathers
+    every plane with one `np.take` along the pixel axis.
     """
-    vals = np.asarray(values, dtype=np.float64)
+    vals = np.asarray(planes, dtype=np.float64)
     sup = np.asarray(support, dtype=bool)
+    if vals.ndim != 3 or vals.shape[1:] != sup.shape:
+        raise ValueError(f"planes {vals.shape} are not (C, *{sup.shape})")
     h, w = sup.shape
-    planes = np.moveaxis(vals.reshape(h, w, -1), -1, 0).reshape(-1, h * w)
+    vals = vals.reshape(len(vals), h * w)
     sup = sup.ravel()
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -78,45 +76,20 @@ def bilinear_sample(values: np.ndarray, support: np.ndarray,
     rows = [(np.clip(y0 + d, 0, h - 1) * w, (y0 + d >= 0) & (y0 + d < h))
             for d in (0, 1)]
 
-    out = np.zeros((len(planes), len(u)))
+    out = np.zeros((len(vals), len(u)))
     wsum = np.zeros(len(u))
     for dy, dx, weight in ((0, 0, gx * gy), (0, 1, fx * gy),
                            (1, 0, gx * fy), (1, 1, fx * fy)):
         (row, row_in), (col, col_in) = rows[dy], cols[dx]
         idx = row + col
         weight *= row_in & col_in & sup[idx]
-        block = np.take(planes, idx, axis=1)
+        block = np.take(vals, idx, axis=1)
         block *= weight
         out += block
         wsum += weight
     ok = wsum > 0
     np.divide(out, wsum, out=out, where=ok)
-    return (out[0] if vals.ndim == 2 else out.T), ok
-
-
-def _project_into_view(positions: np.ndarray, planes: np.ndarray,
-                       support: np.ndarray, camera: geometry.CameraModel,
-                       occlusion_tol: float
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project many points into one view; keep the ones it sees.
-
-    `planes` is the view's (5, H*W) depth, RGB and confidence; the points
-    that land in frame in front of the camera are sampled in one
-    `bilinear_sample` call.  Returns (ids, z, samples) for the visible
-    points only: their indices into `positions`, their depth in this
-    camera and their (5, K) samples.
-    """
-    h, w = support.shape
-    uv, z = geometry.project_points(positions, camera)
-    ids = np.flatnonzero((z > 1e-9)
-                         & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
-                         & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
-    samples, ok = bilinear_sample(planes.T.reshape(h, w, len(planes)),
-                                  support, uv[ids, 0], uv[ids, 1])
-    samples = samples.T
-    z = z[ids]
-    visible = ok & (z <= samples[0] + occlusion_tol * z)
-    return ids[visible], z[visible], samples[:, visible]
+    return out, ok
 
 
 def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
@@ -130,35 +103,39 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     normalized over those views.  Zero means every view agrees the point
     is where its geometry says it should be.
 
+    A view sees a point that lands in frame in front of it, on supported
+    depth, and at most `occlusion_tol * z` behind the sampled depth.
+
     Returns (scores, visible_counts), both length len(cloud).  Dead points
     and points visible nowhere carry score 0 with count 0; callers must
     branch on the count, a zero score alone does not mean "static".
     """
-    n = len(cloud)
-    scores = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
+    scores = np.zeros(len(cloud))
+    counts = np.zeros(len(cloud), dtype=np.int64)
     alive_ids = np.flatnonzero(cloud.alive)
-    if len(alive_ids) == 0:
-        return scores, counts
-
     pos = cloud.positions[alive_ids]
     frames = cloud.frame_indices[alive_ids]
-    rows = cloud.pixels[alive_ids, 0]
-    cols = cloud.pixels[alive_ids, 1]
+    rows, cols = cloud.pixels[alive_ids].T
     colors = np.ascontiguousarray(bundle.images[frames, rows, cols].T,
                                   dtype=np.float64)  # (3, N)
-
+    h, w = bundle.height, bundle.width
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
-    planes = np.empty((5, bundle.height * bundle.width))
-    for view in range(bundle.frames):
-        planes[0] = bundle.depths[view].ravel()
-        planes[1:4] = bundle.images[view].reshape(-1, 3).T
-        planes[4] = confidences[view].ravel()
-        ids, z, samples = _project_into_view(
-            pos, planes, bundle.depths[view] > 0, bundle.cameras[view],
-            occlusion_tol)
+    planes = np.empty((5, h, w))  # depth, RGB, confidence
+    for view, camera in enumerate(bundle.cameras):
+        planes[0] = bundle.depths[view]
+        planes[1:4] = np.moveaxis(bundle.images[view], -1, 0)
+        planes[4] = confidences[view]
+        uv, z = geometry.project_points(pos, camera)
+        ids = np.flatnonzero((z > 1e-9)
+                             & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
+                             & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
+        samples, ok = bilinear_sample(planes, bundle.depths[view] > 0,
+                                      uv[ids, 0], uv[ids, 1])
+        z = z[ids]
+        visible = ok & (z <= samples[0] + occlusion_tol * z)
+        ids, z, samples = ids[visible], z[visible], samples[:, visible]
         r_d = np.abs(z - samples[0])
         # mean |color residual| summed channel by channel, as np.mean does
         r_c = np.abs(np.take(colors, ids, axis=1) - samples[1:4])
@@ -168,9 +145,7 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
         vis_count[ids] += 1
 
     seen = vis_count > 0
-    out = np.zeros(len(alive_ids))
-    out[seen] = weighted_res[seen] / weight_sum[seen]
-    scores[alive_ids] = out
+    scores[alive_ids[seen]] = weighted_res[seen] / weight_sum[seen]
     counts[alive_ids] = vis_count
     return scores, counts
 

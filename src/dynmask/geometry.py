@@ -53,10 +53,14 @@ class CameraModel:
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
+        t = np.asarray(self.t, dtype=np.float64).reshape(3).copy()
+        # NaN fails no comparison, so the focal check below would pass it
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *t]).all():
+            raise ValueError(f"non-finite camera parameters: fx {self.fx}, "
+                             f"fy {self.fy}, cx {self.cx}, cy {self.cy}, t {t}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
         object.__setattr__(self, "R", _as_rotation(self.R))
-        t = np.asarray(self.t, dtype=np.float64).reshape(3).copy()
         t.flags.writeable = False
         object.__setattr__(self, "t", t)
 

@@ -104,8 +104,7 @@ def run(bundle: SceneBundle, config: PipelineConfig | None = None
     head_weights = np.zeros((t, heads))
     initial = np.zeros((t, bundle.height, bundle.width), dtype=bool)
     for f in range(t):
-        maps = bundle.attention[f].astype(np.float64)
-        fused = attention.aggregate(maps, eps=cfg.eps,
+        fused = attention.aggregate(bundle.attention[f], eps=cfg.eps,
                                     weighted=cfg.enable_attention_weighting)
         saliency[f] = fused.values
         head_weights[f] = fused.head_weights
@@ -129,8 +128,7 @@ def run(bundle: SceneBundle, config: PipelineConfig | None = None
 
     if cfg.enable_uncertainty:
         t0 = time.perf_counter()
-        conf = crossview.activate_confidence(
-            bundle.confidence_logits.astype(np.float64))
+        conf = crossview.activate_confidence(bundle.confidence_logits)
         masks, cloud = crossview.refine_masks(
             cloud, bundle, conf, theta_dyn=cfg.theta_dyn, lam=cfg.lam,
             occlusion_tol=cfg.occlusion_tolerance)

@@ -179,16 +179,23 @@ def write_pgm(image: np.ndarray, path: str | Path) -> None:
     write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
 
 
-def _read_pnm_header(raw: bytes, magic: bytes) -> tuple[int, int, int]:
-    """Parse a PNM header, returning (width, height, payload offset)."""
-    if raw[:2] != magic:
-        raise TensorFormatError(f"bad PNM magic {raw[:2]!r}, wanted {magic!r}")
-    fields: list[int] = []
+def read_pgm(path: str | Path) -> np.ndarray:
+    """Read an 8-bit binary PGM image as a uint8 array of shape (H, W).
+
+    The header is ``P5``, width, height and maxval 255 as whole numbers,
+    separated by whitespace or ``#`` comments and ended by one whitespace
+    byte; the payload after it must be exactly width * height bytes.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:2] != b"P5":
+        raise TensorFormatError(f"{path}: bad PGM magic {raw[:2]!r}, wanted b'P5'")
+    fields: list[bytes] = []
     i = 2
     while len(fields) < 3:
         while i < len(raw) and raw[i : i + 1].isspace():
             i += 1
-        if i < len(raw) and raw[i : i + 1] == b"#":
+        if raw[i : i + 1] == b"#":
             while i < len(raw) and raw[i] != 0x0A:
                 i += 1
             continue
@@ -196,22 +203,22 @@ def _read_pnm_header(raw: bytes, magic: bytes) -> tuple[int, int, int]:
         while j < len(raw) and not raw[j : j + 1].isspace():
             j += 1
         if j == i:
-            raise TensorFormatError("truncated PNM header")
-        fields.append(int(raw[i:j]))
+            raise TensorFormatError(f"{path}: truncated PGM header")
+        fields.append(raw[i:j])
         i = j
-    if fields[2] != 255:
-        raise TensorFormatError(f"unsupported PNM maxval {fields[2]}")
-    return fields[0], fields[1], i + 1
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read an 8-bit binary PGM image as a uint8 array of shape (H, W)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    w, h, off = _read_pnm_header(raw, b"P5")
-    if len(raw) - off < w * h:
-        raise TensorFormatError(f"{path}: truncated PGM payload")
-    return np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=off).reshape(h, w).copy()
+    if not all(field.isdigit() for field in fields):
+        raise TensorFormatError(f"{path}: PGM header {fields} is not three "
+                                "whole numbers")
+    w, h, maxval = (int(field) for field in fields)
+    if w < 1 or h < 1:
+        raise TensorFormatError(f"{path}: PGM dims {w}x{h}, each must be >= 1")
+    if maxval != 255:
+        raise TensorFormatError(f"{path}: unsupported PGM maxval {maxval}")
+    size = len(raw) - (i + 1)
+    if size != w * h:
+        raise TensorFormatError(
+            f"{path}: PGM payload size {max(size, 0)} bytes, expected {w * h}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=i + 1).reshape(h, w).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +285,6 @@ def validate_bundle(bundle: SceneBundle) -> None:
                       (bundle.attention, "attentions")):
         if not np.isfinite(arr).all():
             raise SceneFormatError(f"non-finite value (NaN or inf) in {name}")
-    for f, cam in enumerate(bundle.cameras):
-        params = np.concatenate([[cam.fx, cam.fy, cam.cx, cam.cy],
-                                 cam.R.ravel(), cam.t])
-        if not np.isfinite(params).all():
-            raise SceneFormatError(f"non-finite camera {f} parameters")
     if (bundle.depths < 0).any():
         raise SceneFormatError("negative depth value")
     if bundle.images.min() < 0 or bundle.images.max() > 1:

@@ -344,6 +344,27 @@ class TestEval:
         assert main(["eval", str(broken), str(scene_dir)]) == 2
         assert "mask_0001.pgm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [b"P5\nab 24\n255\n",
+                                        b"P5\n-32 24\n255\n",
+                                        b"P5\n32 24\n65535\n"])
+    def test_malformed_prediction_mask_named(self, tmp_path, scene_dir,
+                                             pred_dir, capsys, header):
+        broken = tmp_path / "pred"
+        shutil.copytree(pred_dir, broken)
+        path = broken / "mask_0001.pgm"
+        path.write_bytes(header + path.read_bytes().split(b"\n", 3)[3])
+        assert main(["eval", str(broken), str(scene_dir)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_trailing_bytes_in_prediction_mask(self, tmp_path, scene_dir,
+                                               pred_dir, capsys):
+        broken = tmp_path / "pred"
+        shutil.copytree(pred_dir, broken)
+        path = broken / "mask_0001.pgm"
+        path.write_bytes(path.read_bytes() + bytes(700))
+        assert main(["eval", str(broken), str(scene_dir)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_null_fields_without_ground_truth(self, tmp_path, scene_dir,
                                               pred_dir):
         bare = tmp_path / "bare"

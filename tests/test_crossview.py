@@ -2,7 +2,7 @@
 
 `score_cloud` is checked against a scalar oracle kept here: one point, one
 view at a time, with depth, color and confidence each sampled by its own
-`bilinear_sample` call.  The channel-major sampler and scorer are also
+`bilinear_sample` call.  The plane-major sampler and scorer are also
 checked for bit-identity against the pixel-major versions they replaced,
 kept here as references.
 """
@@ -54,14 +54,14 @@ def gather_projections(position, color, bundle, confidences, point_id=0,
         depth_s, color_s, conf_s, ok = 0.0, np.zeros(3), 0.0, False
         if z > 1e-9 and 0 <= u <= w - 1 and 0 <= v <= h - 1:
             support = bundle.depths[view] > 0
-            d, d_ok = bilinear_sample(bundle.depths[view], support,
+            d, d_ok = bilinear_sample(bundle.depths[view][None], support,
                                       uv[:, 0], uv[:, 1])
-            c, _ = bilinear_sample(bundle.images[view], support,
-                                   uv[:, 0], uv[:, 1])
-            cf, _ = bilinear_sample(confidences[view], support,
+            c, _ = bilinear_sample(np.moveaxis(bundle.images[view], -1, 0),
+                                   support, uv[:, 0], uv[:, 1])
+            cf, _ = bilinear_sample(confidences[view][None], support,
                                     uv[:, 0], uv[:, 1])
-            depth_s, color_s, conf_s, ok = (float(d[0]), c[0], float(cf[0]),
-                                            bool(d_ok[0]))
+            depth_s, color_s, conf_s, ok = (float(d[0, 0]), c[:, 0],
+                                            float(cf[0, 0]), bool(d_ok[0]))
         records.append(ProjectionRecord(
             point_id=point_id, view=view, pixel=uv[0],
             depth_projected=z, depth_sampled=depth_s,
@@ -191,44 +191,57 @@ class TestBilinearSample:
     def test_integer_position_exact(self):
         vals = np.arange(12, dtype=float).reshape(3, 4)
         sup = np.ones((3, 4), bool)
-        out, ok = bilinear_sample(vals, sup, np.array([2.0]), np.array([1.0]))
+        out, ok = bilinear_sample(vals[None], sup, np.array([2.0]),
+                                  np.array([1.0]))
         assert ok[0]
-        assert out[0] == pytest.approx(vals[1, 2])
+        assert out[0, 0] == pytest.approx(vals[1, 2])
 
     def test_midpoint_average(self):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])
         sup = np.ones((2, 2), bool)
-        out, _ = bilinear_sample(vals, sup, np.array([0.5]), np.array([0.5]))
-        assert out[0] == pytest.approx(1.5)
+        out, _ = bilinear_sample(vals[None], sup, np.array([0.5]),
+                                 np.array([0.5]))
+        assert out[0, 0] == pytest.approx(1.5)
 
     def test_support_renormalization(self):
         vals = np.array([[1.0, 5.0], [1.0, 5.0]])
         sup = np.array([[True, False], [True, False]])
-        out, ok = bilinear_sample(vals, sup, np.array([0.5]), np.array([0.5]))
+        out, ok = bilinear_sample(vals[None], sup, np.array([0.5]),
+                                  np.array([0.5]))
         assert ok[0]
-        assert out[0] == pytest.approx(1.0)  # only the left column contributes
+        assert out[0, 0] == pytest.approx(1.0)  # only the left column contributes
 
     def test_no_support(self):
         vals = np.ones((2, 2))
         sup = np.zeros((2, 2), bool)
-        out, ok = bilinear_sample(vals, sup, np.array([0.5]), np.array([0.5]))
+        out, ok = bilinear_sample(vals[None], sup, np.array([0.5]),
+                                  np.array([0.5]))
         assert not ok[0]
-        assert out[0] == 0.0
+        assert out[0, 0] == 0.0
 
     def test_edge_pixel(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]])
         sup = np.ones((2, 2), bool)
-        out, ok = bilinear_sample(vals, sup, np.array([1.0]), np.array([1.0]))
+        out, ok = bilinear_sample(vals[None], sup, np.array([1.0]),
+                                  np.array([1.0]))
         assert ok[0]
-        assert out[0] == pytest.approx(4.0)
+        assert out[0, 0] == pytest.approx(4.0)
 
     def test_multichannel(self):
         vals = np.zeros((2, 2, 3))
         vals[..., 1] = 2.0
         sup = np.ones((2, 2), bool)
-        out, _ = bilinear_sample(vals, sup, np.array([0.5]), np.array([0.5]))
-        np.testing.assert_allclose(out[0], [0.0, 2.0, 0.0])
+        out, _ = bilinear_sample(np.moveaxis(vals, -1, 0), sup,
+                                 np.array([0.5]), np.array([0.5]))
+        np.testing.assert_allclose(out[:, 0], [0.0, 2.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (4, 3, 2)])
+    def test_rejects_other_layouts(self, shape):
+        # a bare (H, W) image or a pixel-major (H, W, C) stack is refused
+        # instead of being read as planes of the wrong size
+        with pytest.raises(ValueError, match="planes"):
+            bilinear_sample(np.zeros(shape), np.ones((2, 3), bool),
+                            np.array([0.5]), np.array([0.5]))
 
     @pytest.mark.parametrize("channels", [None, 5])
     def test_matches_reference_exactly(self, channels):
@@ -244,8 +257,10 @@ class TestBilinearSample:
         u[40:60], v[60:80] = w - 1, h - 1  # last column, last row
         u[80], v[80] = w - 1, h - 1
         u[81:90], v[81:90] = gen.uniform(3, 5, 9), gen.uniform(2, 4, 9)
-        got, got_ok = bilinear_sample(vals, sup, u, v)
+        planes = vals[None] if channels is None else np.moveaxis(vals, -1, 0)
+        got, got_ok = bilinear_sample(planes, sup, u, v)
         want, want_ok = reference_bilinear_sample(vals, sup, u, v)
+        want = want.reshape(len(u), -1).T  # (N,) or (N, C) -> (C, N)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got_ok, want_ok)
         np.testing.assert_array_equal(got, want)
@@ -393,7 +408,7 @@ class TestScoreCloud:
 
         monkeypatch.setattr(crossview, "bilinear_sample", counting_sample)
         score_cloud(cloud, bundle, conf)
-        assert calls == [(10, 14, 5)] * bundle.frames
+        assert calls == [(5, 10, 14)] * bundle.frames
 
     def test_matches_scalar_path(self):
         gen = np.random.default_rng(42)

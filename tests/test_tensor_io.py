@@ -124,6 +124,26 @@ class TestPnm:
         np.testing.assert_array_equal(read_pgm(p),
                                       [[0, 255], [255, 0]])
 
+    @pytest.mark.parametrize("raw, match", [
+        (b"P6\n2 2\n255\n" + bytes(4), "magic"),
+        (b"P5\nab 2\n255\n" + bytes(4), "whole numbers"),
+        (b"P5\n-2 2\n255\n" + bytes(4), "whole numbers"),
+        (b"P5\n2 2.0\n255\n" + bytes(4), "whole numbers"),
+        (b"P5\n0 2\n255\n", "dims"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),
+        (b"P5\n2 2\n", "truncated PGM header"),
+        (b"P5\n2 2\n255\n" + bytes(3), "payload size 3 bytes, expected 4"),
+        (b"P5\n2 2\n255\n" + bytes(704), "payload size 704 bytes"),
+        (b"P5\n2 2\n255", "payload size 0 bytes"),
+    ])
+    def test_pgm_malformed_rejected(self, tmp_path, raw, match):
+        # every error names the file, and the payload size is exact
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(TensorFormatError, match=match) as err:
+            read_pgm(p)
+        assert str(err.value).startswith(f"{p}: ")
+
 
 DROP = object()  # marks a manifest entry to delete
 
@@ -206,21 +226,15 @@ class TestSceneBundle:
     @pytest.mark.parametrize("params", [
         {"fx": np.inf}, {"cy": np.nan}, {"t": np.array([0.0, np.inf, 0.0])},
         {"R": np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, np.nan]])},
+        {"fx": np.nan},
     ])
     def test_non_finite_camera_rejected(self, which, params):
-        bundle = _tiny_bundle()
-        cams = list(getattr(bundle, which))
-        base = dict(fx=cams[1].fx, fy=cams[1].fy, cx=cams[1].cx,
-                    cy=cams[1].cy, R=cams[1].R, t=cams[1].t)
-        if "R" in params:
-            # a non-finite rotation never makes it into a camera
-            with pytest.raises(ValueError, match="non-finite"):
-                CameraModel(**{**base, **params})
-            return
-        cams[1] = CameraModel(**{**base, **params})
-        setattr(bundle, which, cams)
-        with pytest.raises(SceneFormatError, match="non-finite"):
-            validate_bundle(bundle)
+        # a non-finite camera never gets built, so no bundle can hold one
+        cam = getattr(_tiny_bundle(), which)[1]
+        base = dict(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy, R=cam.R,
+                    t=cam.t)
+        with pytest.raises(ValueError, match="non-finite"):
+            CameraModel(**{**base, **params})
 
     def test_load_rejects_infinite_depth(self, tmp_path):
         # the container round-trips inf, the scene loader refuses it
