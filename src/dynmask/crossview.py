@@ -14,6 +14,13 @@ confidence are sampled plane-major from one (5, H, W) array, but every
 point still sums its taps in the order 00, 01, 10, 11 and its views in
 index order, so scores are bit-identical to sampling the (H, W, C) stack
 tap by tap with per-point (N, C) gathers.
+
+Within each view the alive points are projected and sampled in blocks of
+a fixed size.  A block boundary changes no sum, so the result is exact
+whatever the block size.  The alive ids, the per-point sums and the
+returned scores and counts are the only arrays the size of the cloud;
+every other temporary is the size of one block or of one view's planes,
+so refinement memory stops growing with the cloud.
 """
 
 from __future__ import annotations
@@ -31,16 +38,23 @@ LOGIT_CLAMP = 40.0
 DEFAULT_LAMBDA = 1.0 / 3.0
 DEFAULT_THETA_DYN = 0.1
 DEFAULT_OCCLUSION_TOL = 0.05
+# alive points scored per projection and sampling call: bounds every
+# per-view temporary of `score_cloud`, whatever the size of the cloud
+_BLOCK = 1 << 14
 
 
 def activate_confidence(logits: np.ndarray) -> np.ndarray:
     """Map raw logits to confidences C = 1 + exp(l), clamped to stay finite.
 
     The floor of 1 makes C - 1 a precision: C near 1 means an almost
-    uninformative depth observation.
+    uninformative depth observation.  The output is the only (T, H, W)
+    array allocated: the logits are copied once and activated in place.
     """
-    l = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
-    return 1.0 + np.exp(l)
+    conf = np.array(logits, dtype=np.float64)
+    np.clip(conf, -LOGIT_CLAMP, LOGIT_CLAMP, out=conf)
+    np.exp(conf, out=conf)
+    conf += 1.0
+    return conf
 
 
 def bilinear_sample(planes: np.ndarray, support: np.ndarray,
@@ -113,39 +127,48 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     scores = np.zeros(len(cloud))
     counts = np.zeros(len(cloud), dtype=np.int64)
     alive_ids = np.flatnonzero(cloud.alive)
-    pos = cloud.positions[alive_ids]
-    frames = cloud.frame_indices[alive_ids]
-    rows, cols = cloud.pixels[alive_ids].T
-    colors = np.ascontiguousarray(bundle.images[frames, rows, cols].T,
-                                  dtype=np.float64)  # (3, N)
     h, w = bundle.height, bundle.width
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
     planes = np.empty((5, h, w))  # depth, RGB, confidence
+    rgb = bundle.images.reshape(-1, 3)  # one row per pixel of every frame
     for view, camera in enumerate(bundle.cameras):
         planes[0] = bundle.depths[view]
         planes[1:4] = np.moveaxis(bundle.images[view], -1, 0)
         planes[4] = confidences[view]
-        uv, z = geometry.project_points(pos, camera)
-        ids = np.flatnonzero((z > 1e-9)
-                             & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
-                             & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
-        samples, ok = bilinear_sample(planes, bundle.depths[view] > 0,
-                                      uv[ids, 0], uv[ids, 1])
-        z = z[ids]
-        visible = ok & (z <= samples[0] + occlusion_tol * z)
-        ids, z, samples = ids[visible], z[visible], samples[:, visible]
-        r_d = np.abs(z - samples[0])
-        # mean |color residual| summed channel by channel, as np.mean does
-        r_c = np.abs(np.take(colors, ids, axis=1) - samples[1:4])
-        r_c = (r_c[0] + r_c[1] + r_c[2]) / 3
-        weight_sum[ids] += samples[4]
-        weighted_res[ids] += samples[4] * (r_d + lam * r_c)
-        vis_count[ids] += 1
+        support = bundle.depths[view] > 0
+        for start in range(0, len(alive_ids), _BLOCK):
+            block = alive_ids[start:start + _BLOCK]
+            uv, z = geometry.project_points(
+                np.take(cloud.positions, block, axis=0), camera)
+            ids = np.flatnonzero((z > 1e-9)
+                                 & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
+                                 & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
+            samples, ok = bilinear_sample(planes, support,
+                                          uv[ids, 0], uv[ids, 1])
+            z = z[ids]
+            keep = np.flatnonzero(ok & (z <= samples[0] + occlusion_tol * z))
+            ids, z = ids[keep], z[keep]
+            samples = np.take(samples, keep, axis=1)
+            # (3, n) source colours of the points this view sees
+            src = block[ids]
+            rows, cols = cloud.pixels[src].T
+            frames = cloud.frame_indices[src].astype(np.int64)
+            colors = np.take(rgb, (frames * h + rows) * w + cols, axis=0).T
+            r_d = np.abs(z - samples[0])
+            # mean |color residual| summed channel by channel, as np.mean does
+            r_c = np.abs(colors - samples[1:4])
+            r_c = (r_c[0] + r_c[1] + r_c[2]) / 3
+            ids += start
+            weight_sum[ids] += samples[4]
+            weighted_res[ids] += samples[4] * (r_d + lam * r_c)
+            vis_count[ids] += 1
 
-    seen = vis_count > 0
-    scores[alive_ids[seen]] = weighted_res[seen] / weight_sum[seen]
+    # a point no view sees keeps its weighted sum of 0 as its score
+    np.divide(weighted_res, weight_sum, out=weighted_res,
+              where=vis_count > 0)
+    scores[alive_ids] = weighted_res
     counts[alive_ids] = vis_count
     return scores, counts
 

@@ -4,16 +4,17 @@
 view at a time, with depth, color and confidence each sampled by its own
 `bilinear_sample` call.  The plane-major sampler and scorer are also
 checked for bit-identity against the pixel-major versions they replaced,
-kept here as references.
+kept here as references, and the scorer at every block size.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from dynmask import crossview, synthetic
+from dynmask import crossview, geometry, synthetic
 from dynmask.crossview import (activate_confidence, bilinear_sample,
                                close_masks, refine_masks, score_cloud)
 from dynmask.geometry import CameraModel, project_points
@@ -185,6 +186,25 @@ class TestActivateConfidence:
 
     def test_log_three(self):
         assert activate_confidence(np.array([np.log(3.0)]))[0] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_allocates_one_output(self, dtype):
+        # the pipeline passes float32 logits; a float64 input must be
+        # copied, not activated in place
+        logits = np.random.default_rng(4).normal(scale=30.0, size=(4, 60, 80))
+        logits = logits.astype(dtype)
+        before = logits.copy()
+        tracemalloc.start()
+        try:
+            conf = activate_confidence(logits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(logits, before)
+        want = 1.0 + np.exp(np.clip(before.astype(np.float64), -40.0, 40.0))
+        np.testing.assert_array_equal(conf, want)
+        assert conf.dtype == np.float64
+        assert peak < 1.1 * conf.nbytes
 
 
 class TestBilinearSample:
@@ -395,6 +415,20 @@ class TestGatherProjections:
         assert _views_seeing(bundle, [0.0, 0.0, 4.0], 1.0) == (0, 0)
 
 
+def _noisy_cloud(frames=4, width=64, height=48):
+    """A rendered scene's cloud, jittered, with dead points among live ones."""
+    spec = synthetic.corpus_specs(1, frames=frames, width=width,
+                                  height=height)[0]
+    bundle, gt = synthetic.generate(spec)
+    conf = activate_confidence(bundle.confidence_logits)
+    gen = np.random.default_rng(3)
+    masks = (gt.instances >= 0) | (gen.random(gt.instances.shape) > 0.7)
+    cloud = unproject_mask(bundle, masks)
+    cloud.positions += gen.normal(scale=0.02, size=cloud.positions.shape)
+    cloud.alive &= gen.random(len(cloud)) > 0.1
+    return cloud, bundle, conf
+
+
 class TestScoreCloud:
     def test_one_sampling_call_per_view(self, monkeypatch):
         bundle = _flat_bundle()
@@ -428,20 +462,78 @@ class TestScoreCloud:
             if n_vis:
                 assert scores[i] == pytest.approx(dynamic_score(recs), abs=1e-12)
 
-    def test_matches_reference_exactly(self):
-        spec = synthetic.corpus_specs(1, frames=4, width=64, height=48)[0]
-        bundle, gt = synthetic.generate(spec)
+    def test_one_sampling_call_per_view_and_block(self, monkeypatch):
+        # 420 points in blocks of 100: views x blocks calls, view-major,
+        # each block projected and then sampled on the view's planes
+        bundle = _flat_bundle()
         conf = activate_confidence(bundle.confidence_logits)
-        gen = np.random.default_rng(3)
-        masks = (gt.instances >= 0) | (gen.random(gt.instances.shape) > 0.7)
-        cloud = unproject_mask(bundle, masks)
-        cloud.positions += gen.normal(scale=0.02, size=cloud.positions.shape)
-        cloud.alive &= gen.random(len(cloud)) > 0.1
+        cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
+        calls = []
+
+        def counting_project(points, camera):
+            view = next(v for v, c in enumerate(bundle.cameras) if c is camera)
+            calls.append(("project", view, len(points)))
+            return project_points(points, camera)
+
+        def counting_sample(*args):
+            calls.append(("sample", args[0].shape))
+            return bilinear_sample(*args)
+
+        monkeypatch.setattr(crossview, "_BLOCK", 100)
+        monkeypatch.setattr(geometry, "project_points", counting_project)
+        monkeypatch.setattr(crossview, "bilinear_sample", counting_sample)
+        score_cloud(cloud, bundle, conf)
+        assert calls == [call for view in range(bundle.frames)
+                         for n in (100, 100, 100, 100, 20)
+                         for call in (("project", view, n),
+                                      ("sample", (5, 10, 14)))]
+
+    def test_matches_reference_exactly(self):
+        cloud, bundle, conf = _noisy_cloud()
         scores, counts = score_cloud(cloud, bundle, conf)
         want_scores, want_counts = reference_score_cloud(cloud, bundle, conf)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(scores, want_scores)
         assert 0 < (counts > 0).sum() < len(cloud)
+
+    @pytest.mark.parametrize("block", [1, 7, "all"])
+    def test_exact_across_blocks(self, block, monkeypatch):
+        # block boundaries fall between live points and across dead ones;
+        # no boundary may change a sum, so every block size gives the bits
+        # of one block and of the full-length reference
+        cloud, bundle, conf = _noisy_cloud(frames=3, width=32, height=24)
+        assert len(cloud) <= crossview._BLOCK
+        one_block = score_cloud(cloud, bundle, conf)
+        want = reference_score_cloud(cloud, bundle, conf)
+        monkeypatch.setattr(crossview, "_BLOCK",
+                            len(cloud) if block == "all" else block)
+        got = score_cloud(cloud, bundle, conf)
+        for got_a, one_a, want_a in zip(got, one_block, want):
+            np.testing.assert_array_equal(got_a, one_a)
+            np.testing.assert_array_equal(got_a, want_a)
+        assert 0 < (~cloud.alive).sum() and 0 < (got[1] > 0).sum()
+
+    def test_memory_bounded_by_blocks(self):
+        # 230,400 points, 14 blocks: only the alive ids, the three
+        # per-point sums and the two results grow with the cloud (48 bytes
+        # a point), so the traced peak stays under a per-point allowance
+        # plus one block's temporaries and one view's (5, H, W) planes.
+        # Projecting and sampling all points in one call per view would
+        # take about 490 bytes a point.
+        bundle = _flat_bundle(h=240, w=320)
+        conf = activate_confidence(bundle.confidence_logits)
+        cloud = unproject_mask(bundle, np.ones((3, 240, 320), bool))
+        n = len(cloud)
+        assert n >= 8 * crossview._BLOCK
+        tracemalloc.start()
+        try:
+            _, counts = score_cloud(cloud, bundle, conf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (counts > 0).mean() > 0.9
+        planes = 5 * 240 * 320 * 8
+        assert peak < 64 * n + 1024 * crossview._BLOCK + planes
 
     def test_static_points_score_near_zero(self):
         bundle = _flat_bundle()
