@@ -17,14 +17,25 @@ tap by tap with per-point (N, C) gathers.
 
 Within each view the alive points are projected and sampled in blocks of
 a fixed size.  A block boundary changes no sum, so the result is exact
-whatever the block size.  The alive ids, the per-point sums and the
-returned scores and counts are the only arrays the size of the cloud;
-every other temporary is the size of one block or of one view's planes,
-so refinement memory stops growing with the cloud.
+whatever the block size.  The alive ids, their source pixels, the
+per-point sums and the returned scores and counts are the only arrays the
+size of the cloud; every other temporary is the size of one block or of
+one view's planes, so refinement memory stops growing with the cloud.
+
+A view's blocks run on one thread per CPU in the process's affinity
+(`taskset` narrows it), sharing that view's planes; NumPy releases the
+GIL in the gathers and arithmetic, so the threads run at once.  Each
+block adds only into its own points' sums and every block of a view
+ends before the next view starts, so the outputs are byte-identical at
+any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +52,10 @@ DEFAULT_OCCLUSION_TOL = 0.05
 # alive points scored per projection and sampling call: bounds every
 # per-view temporary of `score_cloud`, whatever the size of the cloud
 _BLOCK = 1 << 14
+# threads that score one view's blocks at once: every CPU this process may
+# run on (`taskset` narrows it); a call with one block runs on its caller
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def activate_confidence(logits: np.ndarray) -> np.ndarray:
@@ -128,42 +143,54 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     counts = np.zeros(len(cloud), dtype=np.int64)
     alive_ids = np.flatnonzero(cloud.alive)
     h, w = bundle.height, bundle.width
+    # flat index of each alive point's source pixel into every frame's pixels
+    src_pixel = cloud.frame_indices[alive_ids].astype(np.int64)
+    src_pixel *= h
+    src_pixel += cloud.pixels[alive_ids, 0]
+    src_pixel *= w
+    src_pixel += cloud.pixels[alive_ids, 1]
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
     planes = np.empty((5, h, w))  # depth, RGB, confidence
     rgb = bundle.images.reshape(-1, 3)  # one row per pixel of every frame
-    for view, camera in enumerate(bundle.cameras):
-        planes[0] = bundle.depths[view]
-        planes[1:4] = np.moveaxis(bundle.images[view], -1, 0)
-        planes[4] = confidences[view]
-        support = bundle.depths[view] > 0
-        for start in range(0, len(alive_ids), _BLOCK):
-            block = alive_ids[start:start + _BLOCK]
-            uv, z = geometry.project_points(
-                np.take(cloud.positions, block, axis=0), camera)
-            ids = np.flatnonzero((z > 1e-9)
-                                 & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
-                                 & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
-            samples, ok = bilinear_sample(planes, support,
-                                          uv[ids, 0], uv[ids, 1])
-            z = z[ids]
-            keep = np.flatnonzero(ok & (z <= samples[0] + occlusion_tol * z))
-            ids, z = ids[keep], z[keep]
-            samples = np.take(samples, keep, axis=1)
-            # (3, n) source colours of the points this view sees
-            src = block[ids]
-            rows, cols = cloud.pixels[src].T
-            frames = cloud.frame_indices[src].astype(np.int64)
-            colors = np.take(rgb, (frames * h + rows) * w + cols, axis=0).T
-            r_d = np.abs(z - samples[0])
-            # mean |color residual| summed channel by channel, as np.mean does
-            r_c = np.abs(colors - samples[1:4])
-            r_c = (r_c[0] + r_c[1] + r_c[2]) / 3
-            ids += start
-            weight_sum[ids] += samples[4]
-            weighted_res[ids] += samples[4] * (r_d + lam * r_c)
-            vis_count[ids] += 1
+
+    def score_block(camera, support, start):
+        # adds into the sums of alive points [start, start + _BLOCK) only
+        block = alive_ids[start:start + _BLOCK]
+        uv, z = geometry.project_points(
+            np.take(cloud.positions, block, axis=0), camera)
+        ids = np.flatnonzero((z > 1e-9)
+                             & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
+                             & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
+        samples, ok = bilinear_sample(planes, support, uv[ids, 0], uv[ids, 1])
+        z = z[ids]
+        keep = np.flatnonzero(ok & (z <= samples[0] + occlusion_tol * z))
+        ids, z = ids[keep] + start, z[keep]
+        samples = np.take(samples, keep, axis=1)
+        # (3, n) source colours of the points this view sees
+        colors = np.take(rgb, src_pixel[ids], axis=0).T
+        r_d = np.abs(z - samples[0])
+        # mean |color residual| summed channel by channel, as np.mean does
+        r_c = np.abs(colors - samples[1:4])
+        r_c = (r_c[0] + r_c[1] + r_c[2]) / 3
+        weight_sum[ids] += samples[4]
+        weighted_res[ids] += samples[4] * (r_d + lam * r_c)
+        vis_count[ids] += 1
+
+    starts = range(0, len(alive_ids), _BLOCK)
+    workers = min(_WORKERS, len(starts))
+    with (ThreadPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        for view, camera in enumerate(bundle.cameras):
+            planes[0] = bundle.depths[view]
+            planes[1:4] = np.moveaxis(bundle.images[view], -1, 0)
+            planes[4] = confidences[view]
+            support = bundle.depths[view] > 0
+            # every block of this view ends before the next view's planes
+            # overwrite these, so each point adds its views in index order
+            list(run(functools.partial(score_block, camera, support), starts))
 
     # a point no view sees keeps its weighted sum of 0 as its score
     np.divide(weighted_res, weight_sum, out=weighted_res,

@@ -133,7 +133,7 @@ def test_03_neighbor_counts_match_brute_force():
         pts = gen.uniform(-1, 1, (n, 3))
         r = float(gen.uniform(0.05, 0.6))
         cloud = _cloud_of(pts)
-        index = build_index(cloud, r)
+        index = build_index(cloud)
         counts = np.array([radius_neighbors(cloud, index, i, r)
                            for i in range(n)])
         brute = np.zeros(n, dtype=np.int64)

@@ -4,10 +4,13 @@
 view at a time, with depth, color and confidence each sampled by its own
 `bilinear_sample` call.  The plane-major sampler and scorer are also
 checked for bit-identity against the pixel-major versions they replaced,
-kept here as references, and the scorer at every block size.
+kept here as references, and the scorer at every block size and worker
+count.
 """
 
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -462,12 +465,10 @@ class TestScoreCloud:
             if n_vis:
                 assert scores[i] == pytest.approx(dynamic_score(recs), abs=1e-12)
 
-    def test_one_sampling_call_per_view_and_block(self, monkeypatch):
-        # 420 points in blocks of 100: views x blocks calls, view-major,
-        # each block projected and then sampled on the view's planes
-        bundle = _flat_bundle()
-        conf = activate_confidence(bundle.confidence_logits)
-        cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
+    @staticmethod
+    def _record_calls(bundle, monkeypatch):
+        """Log each projection as (project, view, points) and each sampling
+        call as (sample, planes shape), from whichever thread makes it."""
         calls = []
 
         def counting_project(points, camera):
@@ -479,14 +480,95 @@ class TestScoreCloud:
             calls.append(("sample", args[0].shape))
             return bilinear_sample(*args)
 
-        monkeypatch.setattr(crossview, "_BLOCK", 100)
         monkeypatch.setattr(geometry, "project_points", counting_project)
         monkeypatch.setattr(crossview, "bilinear_sample", counting_sample)
+        return calls
+
+    def test_one_sampling_call_per_view_and_block(self, monkeypatch):
+        # 420 points in blocks of 100 on one worker: views x blocks calls,
+        # view-major, each block projected and then sampled on the planes
+        bundle = _flat_bundle()
+        conf = activate_confidence(bundle.confidence_logits)
+        cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
+        calls = self._record_calls(bundle, monkeypatch)
+        monkeypatch.setattr(crossview, "_BLOCK", 100)
+        monkeypatch.setattr(crossview, "_WORKERS", 1)
         score_cloud(cloud, bundle, conf)
         assert calls == [call for view in range(bundle.frames)
                          for n in (100, 100, 100, 100, 20)
                          for call in (("project", view, n),
                                       ("sample", (5, 10, 14)))]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_views_in_order_across_workers(self, workers, monkeypatch):
+        # blocks of one view may run in any order, but every call of view v
+        # comes before any call of view v + 1, since they share the planes
+        bundle = _flat_bundle()
+        conf = activate_confidence(bundle.confidence_logits)
+        cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
+        calls = self._record_calls(bundle, monkeypatch)
+        monkeypatch.setattr(crossview, "_BLOCK", 100)
+        monkeypatch.setattr(crossview, "_WORKERS", workers)
+        score_cloud(cloud, bundle, conf)
+        # each block samples right after it projects, so view v's calls are
+        # those from its first projection up to view v + 1's first one
+        edges = [0] + [next(i for i, call in enumerate(calls)
+                            if call[:2] == ("project", view))
+                       for view in range(1, bundle.frames)] + [len(calls)]
+        want = Counter([("project", n) for n in (100, 100, 100, 100, 20)]
+                       + [("sample", (5, 10, 14))] * 5)
+        for view in range(bundle.frames):
+            got = calls[edges[view]:edges[view + 1]]
+            assert Counter((c[0], c[-1]) for c in got) == want
+            assert all(c[1] == view for c in got if c[0] == "project")
+
+    def test_exact_under_thread_switching(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: an
+        # add lost to a race between blocks would change a sum or a count
+        cloud, bundle, conf = _noisy_cloud(frames=3, width=32, height=24)
+        want = reference_score_cloud(cloud, bundle, conf)
+        monkeypatch.setattr(crossview, "_BLOCK", 7)
+        monkeypatch.setattr(crossview, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = score_cloud(cloud, bundle, conf)
+        finally:
+            sys.setswitchinterval(interval)
+        for got_a, want_a in zip(got, want):
+            np.testing.assert_array_equal(got_a, want_a)
+
+    @pytest.mark.parametrize("workers, want", [(3, [3]), (8, [5])],
+                             ids=["3-workers", "8-workers"])
+    def test_pool_capped_at_blocks(self, workers, want, monkeypatch):
+        # 420 points in 5 blocks: one pool per call, no larger than that
+        sizes = []
+
+        class RecordingPool(crossview.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        bundle = _flat_bundle()
+        conf = activate_confidence(bundle.confidence_logits)
+        cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
+        monkeypatch.setattr(crossview, "_BLOCK", 100)
+        monkeypatch.setattr(crossview, "_WORKERS", workers)
+        monkeypatch.setattr(crossview, "ThreadPoolExecutor", RecordingPool)
+        score_cloud(cloud, bundle, conf)
+        assert sizes == want
+
+    def test_one_block_creates_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block cloud started a thread pool")
+
+        cloud, bundle, conf = _noisy_cloud(frames=3, width=32, height=24)
+        assert len(cloud) <= crossview._BLOCK
+        monkeypatch.setattr(crossview, "_WORKERS", 4)
+        monkeypatch.setattr(crossview, "ThreadPoolExecutor", no_pool)
+        want = reference_score_cloud(cloud, bundle, conf)
+        for got_a, want_a in zip(score_cloud(cloud, bundle, conf), want):
+            np.testing.assert_array_equal(got_a, want_a)
 
     def test_matches_reference_exactly(self):
         cloud, bundle, conf = _noisy_cloud()
@@ -499,41 +581,47 @@ class TestScoreCloud:
     @pytest.mark.parametrize("block", [1, 7, "all"])
     def test_exact_across_blocks(self, block, monkeypatch):
         # block boundaries fall between live points and across dead ones;
-        # no boundary may change a sum, so every block size gives the bits
-        # of one block and of the full-length reference
+        # no boundary and no worker count may change a sum, so every block
+        # size gives the bits of one block and of the full-length reference
         cloud, bundle, conf = _noisy_cloud(frames=3, width=32, height=24)
         assert len(cloud) <= crossview._BLOCK
         one_block = score_cloud(cloud, bundle, conf)
         want = reference_score_cloud(cloud, bundle, conf)
         monkeypatch.setattr(crossview, "_BLOCK",
                             len(cloud) if block == "all" else block)
-        got = score_cloud(cloud, bundle, conf)
-        for got_a, one_a, want_a in zip(got, one_block, want):
-            np.testing.assert_array_equal(got_a, one_a)
-            np.testing.assert_array_equal(got_a, want_a)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crossview, "_WORKERS", workers)
+            got = score_cloud(cloud, bundle, conf)
+            for got_a, one_a, want_a in zip(got, one_block, want):
+                np.testing.assert_array_equal(got_a, one_a)
+                np.testing.assert_array_equal(got_a, want_a)
         assert 0 < (~cloud.alive).sum() and 0 < (got[1] > 0).sum()
 
-    def test_memory_bounded_by_blocks(self):
-        # 230,400 points, 14 blocks: only the alive ids, the three
-        # per-point sums and the two results grow with the cloud (48 bytes
-        # a point), so the traced peak stays under a per-point allowance
-        # plus one block's temporaries and one view's (5, H, W) planes.
-        # Projecting and sampling all points in one call per view would
-        # take about 490 bytes a point.
+    def test_memory_bounded_by_blocks(self, monkeypatch):
+        # 230,400 points, 14 blocks: only the alive ids, the source pixel
+        # indices, the three per-point sums and the two results grow with
+        # the cloud (56 bytes a point), so the traced peak stays under a
+        # per-point allowance plus each worker's block temporaries and one
+        # view's (5, H, W) planes, shared by the workers.  Projecting and
+        # sampling all points in one call per view would take about 490
+        # bytes a point.
         bundle = _flat_bundle(h=240, w=320)
         conf = activate_confidence(bundle.confidence_logits)
         cloud = unproject_mask(bundle, np.ones((3, 240, 320), bool))
         n = len(cloud)
         assert n >= 8 * crossview._BLOCK
-        tracemalloc.start()
-        try:
-            _, counts = score_cloud(cloud, bundle, conf)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (counts > 0).mean() > 0.9
         planes = 5 * 240 * 320 * 8
-        assert peak < 64 * n + 1024 * crossview._BLOCK + planes
+        for workers in (1, 2):
+            monkeypatch.setattr(crossview, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                _, counts = score_cloud(cloud, bundle, conf)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (counts > 0).mean() > 0.9
+            assert peak < (64 * n + 1024 * crossview._BLOCK * workers
+                           + planes), workers
 
     def test_static_points_score_near_zero(self):
         bundle = _flat_bundle()

@@ -187,6 +187,26 @@ class TestCloudMetrics:
         assert out["dist_median"] == (out["acc_median"]
                                       + out["comp_median"]) / 2
 
+    def test_far_points_match_brute_force(self):
+        # clustered clouds of several tree leaves each, with points far
+        # outside the other cloud (the queries that visit the most nodes),
+        # shared points and a flat cluster that degenerates a split axis
+        rng = np.random.default_rng(7)
+        gt = np.vstack([rng.normal(size=(300, 3)),
+                        rng.normal(size=(60, 3)) * [1, 1, 0] + [4, 0, 0]])
+        pred = np.vstack([gt[::5] + rng.normal(scale=0.01, size=(72, 3)),
+                          gt[:30],
+                          rng.uniform(-1e3, 1e3, size=(40, 3)),
+                          [[1e6, -1e6, 1e6], [0, 0, -5e4]]])
+        out = cloud_metrics(pred, gt)
+        diff = pred[:, None, :] - gt[None, :, :]
+        dmat = np.sqrt((diff * diff).sum(axis=-1))
+        acc, comp = dmat.min(axis=1), dmat.min(axis=0)
+        assert out["acc_mean"] == float(acc.mean())
+        assert out["acc_median"] == float(np.median(acc))
+        assert out["comp_mean"] == float(comp.mean())
+        assert out["comp_median"] == float(np.median(comp))
+
     def test_swap_exchanges_directions(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(40, 3))

@@ -80,12 +80,12 @@ def _bundle(frames=2, h=6, w=8, seed=0, depth_value=2.0):
 class TestRadiusNeighbors:
     def test_isolated_point(self):
         cloud = _cloud([[0, 0, 0], [10, 10, 10]])
-        idx = build_index(cloud, r=1.0)
+        idx = build_index(cloud)
         assert radius_neighbors(cloud, idx, 0, 1.0) == 0
 
     def test_exact_boundary_inclusive(self):
         cloud = _cloud([[0, 0, 0], [1.0, 0, 0]])
-        idx = build_index(cloud, r=1.0)
+        idx = build_index(cloud)
         assert radius_neighbors(cloud, idx, 0, 1.0) == 1
         assert radius_neighbors(cloud, idx, 1, 1.0) == 1
 
@@ -94,7 +94,7 @@ class TestRadiusNeighbors:
         for n, r in [(100, 0.3), (1000, 0.15), (1000, 0.6)]:
             pts = gen.random((n, 3))
             cloud = _cloud(pts)
-            idx = build_index(cloud, r=r)
+            idx = build_index(cloud)
             expect = _brute_counts(pts, r)
             got = np.array([radius_neighbors(cloud, idx, i, r) for i in range(n)])
             np.testing.assert_array_equal(got, expect)
@@ -106,7 +106,7 @@ class TestRadiusNeighbors:
         pts = gen.random((400, 3))
         alive = gen.random(400) > 0.2
         cloud = _cloud(pts, alive=alive)
-        idx = build_index(cloud, r=0.2)
+        idx = build_index(cloud)
         ids = gen.permutation(400)[:250]
         got = radius_neighbors(cloud, idx, ids, 0.2)
         single = [radius_neighbors(cloud, idx, int(i), 0.2) for i in ids]
@@ -121,19 +121,19 @@ class TestRadiusNeighbors:
     def test_dead_points_excluded(self):
         pts = [[0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]]
         cloud = _cloud(pts, alive=[True, False, True])
-        idx = build_index(cloud, r=1.0)
+        idx = build_index(cloud)
         assert radius_neighbors(cloud, idx, 0, 1.0) == 1
 
     def test_radius_validation(self):
         cloud = _cloud([[0, 0, 0]])
-        idx = build_index(cloud, r=1.0)
+        idx = build_index(cloud)
         with pytest.raises(ValueError):
             radius_neighbors(cloud, idx, 0, 0.0)
 
     def test_negative_coordinates(self):
         # a pair straddling the origin still counts
         cloud = _cloud([[-0.05, -0.05, -0.05], [0.05, 0.05, 0.05]])
-        idx = build_index(cloud, r=0.2)
+        idx = build_index(cloud)
         assert radius_neighbors(cloud, idx, 0, 0.2) == 1
 
 
