@@ -84,18 +84,16 @@ def aggregate(maps: np.ndarray, eps: float = DEFAULT_EPS,
     return SaliencyMap(values=values, head_weights=weights)
 
 
-def binarize(saliency: SaliencyMap | np.ndarray, theta: float,
-             patch: int = 1) -> np.ndarray:
+def binarize(saliency: SaliencyMap, theta: float, patch: int = 1) -> np.ndarray:
     """Threshold a saliency map and replicate to image resolution.
 
     A pixel is dynamic iff its saliency is >= theta, so theta=0 marks
     everything and theta>1 marks nothing.  Each saliency cell expands to a
     patch x patch block (nearest-neighbor upsampling).
     """
-    values = saliency.values if isinstance(saliency, SaliencyMap) else np.asarray(saliency)
     if patch < 1:
         raise ValueError(f"patch factor {patch} must be >= 1")
-    mask = values >= theta
+    mask = saliency.values >= theta
     if patch == 1:
         return mask.copy()
     return np.repeat(np.repeat(mask, patch, axis=0), patch, axis=1)

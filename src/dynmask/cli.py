@@ -202,8 +202,11 @@ def cmd_residuals(args) -> int:
     h, w = bundle.height, bundle.width
     pairs = []
     for f in range(bundle.frames - 1):
-        ref_cam, tgt_cam = gt.cameras[f], gt.cameras[f + 1]
-        ess = essential_from_poses(ref_cam, tgt_cam, unit_baseline=True)
+        ref_cam, tgt_cam = bundle.cameras[f], bundle.cameras[f + 1]
+        try:
+            ess = essential_from_poses(ref_cam, tgt_cam)
+        except ValueError as exc:
+            raise ValueError(f"frames {f} and {f + 1}: {exc}") from exc
 
         rows, cols = np.nonzero(gt.true_depths[f] > 0)
         pixels = np.column_stack([cols, rows]).astype(np.float64)

@@ -110,22 +110,20 @@ def _boundary_f_single(pred: np.ndarray, gt: np.ndarray, tol: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def boundary_f_frames(pred: np.ndarray, gt: np.ndarray,
-                      tol_frac: float = DEFAULT_BOUNDARY_TOL) -> np.ndarray:
+def boundary_f_frames(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     pred, gt = _check_stacks(pred, gt)
     h, w = pred.shape[1:]
-    tol = tol_frac * float(np.hypot(h, w))
+    tol = DEFAULT_BOUNDARY_TOL * float(np.hypot(h, w))
     return np.array([_boundary_f_single(pred[f], gt[f], tol)
                      for f in range(pred.shape[0])])
 
 
-def recall_fraction(per_frame: np.ndarray,
-                    threshold: float = RECALL_THRESHOLD) -> float:
-    """Fraction of frames whose score strictly exceeds the threshold."""
+def recall_fraction(per_frame: np.ndarray) -> float:
+    """Fraction of frames whose score strictly exceeds RECALL_THRESHOLD."""
     per_frame = np.asarray(per_frame, dtype=np.float64)
     if per_frame.size == 0:
         raise ValueError("empty score series")
-    return float((per_frame > threshold).mean())
+    return float((per_frame > RECALL_THRESHOLD).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +157,9 @@ def cloud_metrics(pred: np.ndarray, gt: np.ndarray) -> dict:
 # report assembly
 # ---------------------------------------------------------------------------
 
-def evaluate_masks(pred: np.ndarray, gt: np.ndarray,
-                   tol_frac: float = DEFAULT_BOUNDARY_TOL) -> MetricReport:
+def evaluate_masks(pred: np.ndarray, gt: np.ndarray) -> MetricReport:
     j = jaccard_frames(pred, gt)
-    b = boundary_f_frames(pred, gt, tol_frac)
+    b = boundary_f_frames(pred, gt)
     return MetricReport(
         jm=float(j.mean()), fm=float(b.mean()),
         jr=recall_fraction(j), fr=recall_fraction(b),

@@ -20,10 +20,6 @@ MIN_DEPTH = 1e-9
 MIN_BASELINE = 1e-9
 
 
-class DegenerateBaselineError(ValueError):
-    """Camera pair with (near-)zero translation has no essential matrix."""
-
-
 def _as_rotation(R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
@@ -98,22 +94,19 @@ def skew(v: np.ndarray) -> np.ndarray:
                      [-y, x, 0.0]])
 
 
-def essential_from_poses(ref: CameraModel, tgt: CameraModel,
-                         unit_baseline: bool = False) -> np.ndarray:
+def essential_from_poses(ref: CameraModel, tgt: CameraModel) -> np.ndarray:
     """Read-only (3, 3) essential matrix [t_rel]x R_rel of the pair (ref, tgt).
 
-    With `unit_baseline` the translation is scaled to unit length first,
-    which makes epipolar residuals comparable across pairs with different
-    baselines.  Raises DegenerateBaselineError for a (near-)zero baseline.
+    The translation is scaled to unit length first, which makes epipolar
+    residuals comparable across pairs with different baselines.  Raises
+    ValueError for a (near-)zero baseline, which has no essential matrix.
     """
     R_rel = tgt.R @ ref.R.T
     t_rel = tgt.t - R_rel @ ref.t
     baseline = float(np.linalg.norm(t_rel))
     if baseline <= MIN_BASELINE:
-        raise DegenerateBaselineError(
-            f"baseline {baseline:.3e} below {MIN_BASELINE:.0e}")
-    t = t_rel / baseline if unit_baseline else t_rel
-    essential = skew(t) @ R_rel
+        raise ValueError(f"baseline {baseline:.3e} below {MIN_BASELINE:.0e}")
+    essential = skew(t_rel / baseline) @ R_rel
     essential.flags.writeable = False
     return essential
 

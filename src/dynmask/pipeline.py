@@ -79,11 +79,9 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    """Everything one pipeline run produced, for writing and inspection."""
+    """What `dynmask mask` writes from one pipeline run."""
 
     masks: np.ndarray                 # (T, H, W) final binary masks
-    initial_masks: np.ndarray         # (T, H, W) binarized saliency
-    saliency: np.ndarray              # (T, H', W') fused normalized maps
     head_weights: np.ndarray          # (T, heads) weights actually used
     cloud: DynamicPointCloud          # final labeled cloud
     counts: dict = field(default_factory=dict)
@@ -144,6 +142,5 @@ def run(bundle: SceneBundle, config: PipelineConfig | None = None
 
     counts["final_mask_pixels"] = int(masks.sum())
     counts["final_points"] = int(cloud.alive_count)
-    return PipelineResult(masks=masks, initial_masks=initial,
-                          saliency=saliency, head_weights=head_weights,
+    return PipelineResult(masks=masks, head_weights=head_weights,
                           cloud=cloud, counts=counts, timings=timings)

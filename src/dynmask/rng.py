@@ -7,7 +7,8 @@ SplitMix64 finalizer (Steele, Lea & Flood), applied to a counter:
 
     out[i] = mix64(stream_key + (i + 1) * 0x9E3779B97F4A7C15)
 
-which makes every stream random-access and trivially portable.
+which makes every stream trivially portable, and a shorter draw a prefix
+of a longer one.
 """
 
 from __future__ import annotations
@@ -58,27 +59,27 @@ def stream_key(seed: int, *path: int | str) -> int:
     return key
 
 
-def random_u64(key: int, count: int, offset: int = 0) -> np.ndarray:
-    """`count` raw uint64 draws from the stream at `key`, starting at `offset`."""
-    if count < 0 or offset < 0:
-        raise ValueError(f"count {count} and offset {offset} must be >= 0")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+def random_u64(key: int, count: int) -> np.ndarray:
+    """The first `count` raw uint64 draws from the stream at `key`."""
+    if count < 0:
+        raise ValueError(f"count {count} must be >= 0")
+    idx = np.arange(1, count + 1, dtype=np.uint64)
     return _mix64(np.uint64(key) + idx * _GOLDEN)
 
 
-def uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
+def uniforms(key: int, count: int) -> np.ndarray:
     """`count` float64 uniforms in [0, 1) from the stream at `key`."""
-    bits = random_u64(key, count, offset)
+    bits = random_u64(key, count)
     return (bits >> np.uint64(11)).astype(np.float64) * _U53_INV
 
 
-def normals(key: int, count: int, offset: int = 0) -> np.ndarray:
+def normals(key: int, count: int) -> np.ndarray:
     """`count` standard-normal float64 draws via Box-Muller.
 
     Consumes 2*ceil(count/2) uniforms from the stream; fully deterministic.
     """
     pairs = (count + 1) // 2
-    u = uniforms(key, 2 * pairs, offset)
+    u = uniforms(key, 2 * pairs)
     # interleaved consumption keeps prefixes stable across different counts
     u1 = u[0::2]
     u2 = u[1::2]

@@ -181,10 +181,8 @@ def _mover_from_dict(raw, index: int) -> MoverSpec:
 
 @dataclass
 class GroundTruth:
-    """Everything the generator knows that the pipeline must not see."""
+    """What the generator knows that the bundle does not carry."""
 
-    masks: np.ndarray           # (T, H, W) bool, union of mover silhouettes
-    cameras: list[CameraModel]
     true_depths: np.ndarray     # (T, H, W) float32, noise-free
     instances: np.ndarray       # (T, H, W) int32, mover index or -1
     mover_positions: np.ndarray  # (num_movers, T, 3)
@@ -418,8 +416,7 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
         attention=attention, cameras=cams, patch=spec.patch,
         gt_masks=masks)
     gt = GroundTruth(
-        masks=masks, cameras=cams, true_depths=true_depths,
-        instances=instances,
+        true_depths=true_depths, instances=instances,
         mover_positions=np.stack([m.positions(t) for m in spec.movers])
         if spec.movers else np.zeros((0, t, 3)))
 
@@ -453,7 +450,6 @@ def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
     Both stacks must match the bundle's (T, H, W), true depths must be
     finite and >= 0, instance ids whole numbers in [-1, movers), and the
     mover positions (movers, T, 3); anything else raises SceneFormatError.
-    The cameras are the bundle's.
     """
     if bundle.gt_masks is None:
         raise SceneFormatError("bundle carries no ground-truth masks")
@@ -480,7 +476,6 @@ def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
         raise SceneFormatError(
             f"gt.json instances must be whole numbers in [-1, {len(movers)})")
     return GroundTruth(
-        masks=bundle.gt_masks, cameras=bundle.cameras,
         true_depths=true_depths, instances=instances.astype(np.int32),
         mover_positions=positions)
 

@@ -14,8 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from dynmask import rng
-from dynmask.evaluation import (DEFAULT_BOUNDARY_TOL, boundary_f_frames,
-                                jaccard_frames)
+from dynmask.evaluation import boundary_f_frames, jaccard_frames
 from dynmask.geometry import (MIN_DEPTH, CameraModel, epipolar_residual_batch,
                               essential_from_poses, pixel_rays,
                               project_dynamic_world_batch, project_points,
@@ -101,7 +100,7 @@ def residual_first_order(pixel_ref: np.ndarray, depth: float,
     Valid when the motion and depth change are small against scene depth;
     degrades near the epipole where ||E x_r|| collapses.
     """
-    ess = essential_from_poses(ref, tgt, unit_baseline=True)
+    ess = essential_from_poses(ref, tgt)
     x_hat = pixel_rays(pixel_ref, ref)[0]
     line = ess @ x_hat
     norm = np.linalg.norm(line)
@@ -120,9 +119,8 @@ def jaccard_mean(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(jaccard_frames(pred, gt).mean())
 
 
-def boundary_f(pred: np.ndarray, gt: np.ndarray,
-               tol_frac: float = DEFAULT_BOUNDARY_TOL) -> float:
-    return float(boundary_f_frames(pred, gt, tol_frac).mean())
+def boundary_f(pred: np.ndarray, gt: np.ndarray) -> float:
+    return float(boundary_f_frames(pred, gt).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +166,14 @@ def corrupt(bundle: SceneBundle, outlier_points: int = 0,
         margin = np.zeros((t, hp, wp), dtype=bool)
     head_max = out.attention.max(axis=(2, 3))  # (T, heads) pre-bump maxima
     used: set[tuple[int, int, int]] = set()
-    key = rng.stream_key(seed, "outliers")
-    cursor = 0
+    tries = 200  # rejection sampling per point, from one deterministic stream
+    draws = iter(rng.uniforms(rng.stream_key(seed, "outliers"),
+                              2 * tries * outlier_points).reshape(-1, 2))
     for k in range(outlier_points):
         f = k % t
         placed = False
-        for _ in range(200):  # rejection sampling, deterministic stream
-            draw = rng.uniforms(key, 2, offset=cursor)
-            cursor += 2
+        for _ in range(tries):
+            draw = next(draws)
             pi = min(int(draw[0] * hp), hp - 1)
             pj = min(int(draw[1] * wp), wp - 1)
             center = (pi * patch + patch // 2, pj * patch + patch // 2)

@@ -63,8 +63,8 @@ def test_01_static_scene_epipolar_soundness():
     worst = 0.0
     total = 0
     for f in range(bundle.frames - 1):
-        ref, tgt = gt.cameras[f], gt.cameras[f + 1]
-        ess = essential_from_poses(ref, tgt, unit_baseline=True)
+        ref, tgt = bundle.cameras[f], bundle.cameras[f + 1]
+        ess = essential_from_poses(ref, tgt)
         rows, cols = np.nonzero(gt.true_depths[f] > 0)
         pixels = np.column_stack([cols, rows]).astype(np.float64)
         depths = gt.true_depths[f][rows, cols].astype(np.float64)
@@ -106,7 +106,7 @@ def test_02_first_order_residual_accuracy():
             uv_t, _ = project_dynamic(pix, depth, ref, tgt, motion)
         except BehindCameraError:
             continue
-        ess = essential_from_poses(ref, tgt, unit_baseline=True)
+        ess = essential_from_poses(ref, tgt)
         exact = epipolar_residual(pix, uv_t, ess, ref)
         approx = residual_first_order(pix, depth, ref, tgt, motion)
         n_samples += 1
@@ -188,10 +188,10 @@ def test_05_variance_weighting_beats_uniform(corpus):
     # in the corpus mean
     wins = 0
     jm_weighted, jm_uniform = [], []
-    for bundle, gt in corpus:
+    for bundle, _ in corpus:
         assert bundle.heads - 2 >= 4  # noise heads dominate the stack
-        masks_w = np.zeros_like(gt.masks)
-        masks_u = np.zeros_like(gt.masks)
+        masks_w = np.zeros_like(bundle.gt_masks)
+        masks_u = np.zeros_like(bundle.gt_masks)
         for f in range(bundle.frames):
             maps = bundle.attention[f].astype(np.float64)
             masks_w[f] = attention.binarize(
@@ -200,8 +200,8 @@ def test_05_variance_weighting_beats_uniform(corpus):
             masks_u[f] = attention.binarize(
                 attention.aggregate(maps, weighted=False), 0.5,
                 patch=bundle.patch)
-        jw = jaccard_mean(masks_w, gt.masks)
-        ju = jaccard_mean(masks_u, gt.masks)
+        jw = jaccard_mean(masks_w, bundle.gt_masks)
+        ju = jaccard_mean(masks_u, bundle.gt_masks)
         jm_weighted.append(jw)
         jm_uniform.append(ju)
         wins += jw > ju
@@ -266,11 +266,11 @@ def test_07_ablation_monotonicity(corpus):
         ("+attention", PipelineConfig()),
     ]
     scores = np.zeros((len(corpus), len(stages)))
-    for k, (bundle, gt) in enumerate(corpus):
+    for k, (bundle, _) in enumerate(corpus):
         noisy = corrupt(bundle, outlier_points=12, seed=1000 + k)
         for j, (_, cfg) in enumerate(stages):
             result = run(noisy, cfg)
-            scores[k, j] = jaccard_mean(result.masks, gt.masks)
+            scores[k, j] = jaccard_mean(result.masks, bundle.gt_masks)
     means = scores.mean(axis=0)
     steps = (means[1:] - means[:-1]) / means[:-1]
     overall = (means[-1] - means[0]) / means[0]
@@ -448,9 +448,9 @@ def test_10_determinism_and_corpus_runtime(tmp_path):
     t0 = time.perf_counter()
     jms = []
     for spec_k in synthetic.corpus_specs():
-        bundle, gt = synthetic.generate(spec_k)
+        bundle, _ = synthetic.generate(spec_k)
         result = run(bundle)
-        jms.append(jaccard_mean(result.masks, gt.masks))
+        jms.append(jaccard_mean(result.masks, bundle.gt_masks))
     elapsed = time.perf_counter() - t0
     ok = identical and elapsed < 120.0
     _line(10, "determinism and corpus runtime", ok,

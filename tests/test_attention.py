@@ -151,5 +151,6 @@ class TestBinarize:
         assert mask.sum() == 14 * 14
 
     def test_patch_validation(self):
+        s = SaliencyMap(values=np.zeros((2, 2)), head_weights=np.array([1.0]))
         with pytest.raises(ValueError):
-            binarize(np.zeros((2, 2)), 0.5, patch=0)
+            binarize(s, 0.5, patch=0)

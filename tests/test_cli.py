@@ -479,6 +479,18 @@ class TestResiduals:
         capsys.readouterr()
         assert medians[1] > 1.5 * medians[0]
 
+    def test_degenerate_baseline_names_frame_pair(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path / "spec.json",
+                           {**STATIC_SPEC, "camera": {"baseline": 0.0}})
+        scene = tmp_path / "scene"
+        with pytest.warns(UserWarning, match="zero baseline"):
+            assert main(["generate", spec, "--out", str(scene)]) == 0
+        capsys.readouterr()
+        assert main(["residuals", str(scene),
+                     "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert "frames 0 and 1: baseline" in err
+
     def test_requires_ground_truth(self, tmp_path, scene_dir, capsys):
         bare = tmp_path / "bare"
         shutil.copytree(scene_dir, bare)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dynmask.geometry import (CameraModel, DegenerateBaselineError,
-                              epipolar_residual_batch, essential_from_poses,
+from dynmask.geometry import (CameraModel, epipolar_residual_batch,
+                              essential_from_poses,
                               pixel_rays, project_dynamic_world_batch,
                               project_points, skew, unproject_pixels)
 from oracles import (BehindCameraError, epipolar_residual, project_dynamic,
@@ -226,15 +226,17 @@ class TestEssentialMatrix:
             np.testing.assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-12)
 
     def test_unit_baseline_scaling(self):
+        # [t]x R with |t| = 1 has singular values (1, 1, 0) at any baseline
         ref = _camera()
-        tgt = _camera(t=(0.0, 3.0, 0.0))
-        raw = essential_from_poses(ref, tgt)
-        unit = essential_from_poses(ref, tgt, unit_baseline=True)
-        np.testing.assert_allclose(unit * 3.0, raw, atol=1e-12)
+        rot = Rotation.from_euler("y", 3.0, degrees=True).as_matrix()
+        for baseline in (1e-3, 1.0, 1e3):
+            tgt = _camera(R=rot, t=(0.0, baseline, 0.0))
+            E = essential_from_poses(ref, tgt)
+            assert np.linalg.norm(E) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_degenerate_baseline(self):
         cam = _camera()
-        with pytest.raises(DegenerateBaselineError):
+        with pytest.raises(ValueError, match="baseline"):
             essential_from_poses(cam, cam)
 
     def test_rank_two(self):
@@ -307,7 +309,7 @@ class TestEpipolarResidual:
         ref = _camera()
         for scale in (1.0, 2.0):
             tgt = _camera(t=(0.4 * scale, 0.0, 0.0))
-            E = essential_from_poses(ref, tgt, unit_baseline=True)
+            E = essential_from_poses(ref, tgt)
             np.testing.assert_allclose(np.linalg.norm(
                 _relative_pose(ref, tgt)[1]), 0.4 * scale)
 
@@ -337,7 +339,7 @@ class TestFirstOrderApproximation:
                 uv_t, _ = project_dynamic(pix, depth, ref, tgt, motion)
             except BehindCameraError:
                 continue
-            E = essential_from_poses(ref, tgt, unit_baseline=True)
+            E = essential_from_poses(ref, tgt)
             exact = epipolar_residual(pix, uv_t, E, ref)
             if abs(exact) < 1e-6:  # motion nearly inside the epipolar plane
                 continue
@@ -353,7 +355,7 @@ class TestFirstOrderApproximation:
         for dy in (0.1, -0.1):
             disp = np.array([0.0, dy, 0.0])
             uv_t, _ = project_dynamic(pix, 2.0, ref, tgt, disp)
-            E = essential_from_poses(ref, tgt, unit_baseline=True)
+            E = essential_from_poses(ref, tgt)
             exact = epipolar_residual(pix, uv_t, E, ref)
             approx = residual_first_order(pix, 2.0, ref, tgt, disp)
             assert np.sign(exact) == np.sign(approx)
@@ -368,7 +370,7 @@ class TestFirstOrderApproximation:
         for scale in (0.2, 0.02):
             disp = np.array([0.01, 0.05, 0.08]) * scale
             uv_t, _ = project_dynamic(pix, 3.0, ref, tgt, disp)
-            E = essential_from_poses(ref, tgt, unit_baseline=True)
+            E = essential_from_poses(ref, tgt)
             exact = epipolar_residual(pix, uv_t, E, ref)
             approx = residual_first_order(pix, 3.0, ref, tgt, disp)
             errs.append(abs(approx - exact) / abs(exact))

@@ -21,13 +21,12 @@ class TestStreamKey:
 
 
 class TestRawBits:
-    def test_offset_slicing(self):
-        # one long draw equals two shorter draws at matching offsets
+    def test_prefix_stability(self):
+        # a shorter draw is a prefix of a longer one; normals relies on it
         key = rng.stream_key(42, "bits")
         whole = rng.random_u64(key, 100)
         head = rng.random_u64(key, 60)
-        tail = rng.random_u64(key, 40, offset=60)
-        assert np.array_equal(whole, np.concatenate([head, tail]))
+        assert np.array_equal(whole[:60], head)
 
     def test_uniform_bits_are_spread(self):
         key = rng.stream_key(0, "spread")

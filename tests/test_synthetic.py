@@ -151,7 +151,7 @@ class TestRender:
     def test_floor_depth_matches_formula(self):
         spec = _static_spec()
         bundle, gt = generate(spec)
-        cam = gt.cameras[0]
+        cam = bundle.cameras[0]
         v = spec.height - 1
         expected = cam.fy * spec.floor_y / (v - cam.cy)
         if expected < spec.wall_z:  # floor visible at the bottom row
@@ -164,19 +164,19 @@ class TestRender:
 
     def test_static_scene_has_empty_masks(self):
         bundle, gt = generate(_static_spec())
-        assert not gt.masks.any()
+        assert not bundle.gt_masks.any()
         assert (gt.instances == -1).all()
 
     def test_mover_renders_in_every_frame(self):
-        bundle, gt = generate(_mover_spec())
+        bundle, _ = generate(_mover_spec())
         for f in range(bundle.frames):
-            assert gt.masks[f].sum() > 50
+            assert bundle.gt_masks[f].sum() > 50
 
     def test_zero_velocity_mover_is_static(self):
         spec = _mover_spec(velocity=(0.0, 0.0, 0.0))
         bundle, gt = generate(spec)
         assert (gt.instances == 0).any()  # rendered
-        assert not gt.masks.any()         # but not labeled dynamic
+        assert not bundle.gt_masks.any()         # but not labeled dynamic
 
     def test_mover_nearer_than_background(self):
         bundle, gt = generate(_mover_spec())
@@ -191,7 +191,7 @@ class TestRender:
         spec = SceneSpec(frames=4, width=64, height=48, patch=8,
                          movers=[mover])
         bundle, gt = generate(spec)
-        assert gt.masks[0].sum() > 20
+        assert bundle.gt_masks[0].sum() > 20
         on = gt.instances[0] == 0
         diff = np.abs(bundle.images[0][on] - np.array([0.2, 0.5, 0.9]))
         assert diff.max() < 1e-6
@@ -220,12 +220,12 @@ class TestRigidConsistency:
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
         for tgt in range(1, spec.frames):
             depths = gt.true_depths[0, rows, cols].astype(np.float64)
-            uv, z = project_rigid_batch(pixels, depths, gt.cameras[0],
-                                        gt.cameras[tgt])
+            uv, z = project_rigid_batch(pixels, depths, bundle.cameras[0],
+                                        bundle.cameras[tgt])
             inb = ((z > 0) & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
                    & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
             assert inb.sum() > 100
-            oracle, _ = cast_depth(spec, gt.cameras[tgt], tgt, uv[inb])
+            oracle, _ = cast_depth(spec, bundle.cameras[tgt], tgt, uv[inb])
             ok = oracle > 0
             assert ok.all()
             np.testing.assert_allclose(z[inb], oracle, atol=1e-3)
@@ -239,11 +239,11 @@ class TestRigidConsistency:
         rows, cols = np.unravel_index(pick, (spec.height, spec.width))
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
         depths = gt.true_depths[0, rows, cols].astype(np.float64)
-        uv, z = project_rigid_batch(pixels, depths, gt.cameras[0],
-                                    gt.cameras[3])
+        uv, z = project_rigid_batch(pixels, depths, bundle.cameras[0],
+                                    bundle.cameras[3])
         inb = ((z > 0) & (uv[:, 0] >= 0) & (uv[:, 0] <= spec.width - 1)
                & (uv[:, 1] >= 0) & (uv[:, 1] <= spec.height - 1))
-        oracle, inst = cast_depth(spec, gt.cameras[3], 3, uv[inb])
+        oracle, inst = cast_depth(spec, bundle.cameras[3], 3, uv[inb])
         # only compare where the same static surface is visible; the mover
         # may legitimately occlude a background point in the target view
         unoccluded = inst < 0
@@ -268,7 +268,7 @@ class TestMoverConsistency:
             disp = gt.displacement(0, 0, tgt)
             disps = np.broadcast_to(disp, (len(rows), 3))
             uv, z = project_dynamic_world_batch(
-                pixels, depths, gt.cameras[0], gt.cameras[tgt], disps)
+                pixels, depths, bundle.cameras[0], bundle.cameras[tgt], disps)
             r = np.clip(np.rint(uv[:, 1]).astype(int), 0, spec.height - 1)
             c = np.clip(np.rint(uv[:, 0]).astype(int), 0, spec.width - 1)
             hits = gt.instances[tgt, r, c] == 0
@@ -284,10 +284,10 @@ class TestMoverConsistency:
         depths = gt.true_depths[0, rows, cols].astype(np.float64)
         disp = gt.displacement(0, 0, 3)
         uv, z = project_dynamic_world_batch(
-            pixels, depths, gt.cameras[0], gt.cameras[3],
+            pixels, depths, bundle.cameras[0], bundle.cameras[3],
             np.broadcast_to(disp, (len(rows), 3)))
-        world = unproject_pixels(pixels, depths, gt.cameras[0]) + disp
-        uv_direct, z_direct = project_points(world, gt.cameras[3])
+        world = unproject_pixels(pixels, depths, bundle.cameras[0]) + disp
+        uv_direct, z_direct = project_points(world, bundle.cameras[3])
         np.testing.assert_allclose(uv, uv_direct, atol=1e-9)
         np.testing.assert_allclose(z, z_direct, atol=1e-9)
 
@@ -352,9 +352,9 @@ class TestAttention:
 
     def test_signal_heads_follow_silhouette(self):
         spec = _mover_spec()
-        bundle, gt = generate(spec)
+        bundle, _ = generate(spec)
         hp, wp = spec.height // spec.patch, spec.width // spec.patch
-        pooled = gt.masks[0].reshape(hp, spec.patch, wp, spec.patch
+        pooled = bundle.gt_masks[0].reshape(hp, spec.patch, wp, spec.patch
                                      ).mean(axis=(1, 3))
         signal = bundle.attention[0, 0].astype(np.float64)
         # peak of the signal head sits on the densest silhouette patch
@@ -494,7 +494,7 @@ class TestCorrupt:
             assert (block > 0).sum() == 1
 
     def test_purification_removes_injected_outliers(self):
-        bundle, gt = generate(_mover_spec(seed=2))
+        bundle, _ = generate(_mover_spec(seed=2))
         out = corrupt(bundle, outlier_points=40, seed=11)
         masks = np.zeros((out.frames, out.height, out.width), dtype=bool)
         for f in range(out.frames):
@@ -515,7 +515,7 @@ class TestCorrupt:
         assert removed >= 0.9
 
         # the dense mover cluster must survive nearly untouched
-        interior = np.stack([ndimage.binary_erosion(gt.masks[f], iterations=2)
+        interior = np.stack([ndimage.binary_erosion(bundle.gt_masks[f], iterations=2)
                              for f in range(out.frames)])
         cluster = [i for i in range(len(cloud))
                    if interior[cloud.frame_indices[i],
