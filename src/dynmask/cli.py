@@ -27,6 +27,8 @@ from .tensor_io import (SceneBundle, SceneFormatError, load_scene, read_pgm,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+# file name of frame f's mask in a prediction directory
+MASK_NAME = "mask_{:04d}.pgm"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +121,7 @@ def cmd_mask(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for f in range(bundle.frames):
-        write_pgm(result.masks[f], out / f"mask_{f:04d}.pgm")
+        write_pgm(result.masks[f], out / MASK_NAME.format(f))
     purification.write_ply(result.cloud, out / "cloud.ply")
     write_json({
         "config": config.to_dict(),
@@ -139,9 +141,16 @@ def cmd_mask(args) -> int:
 
 def _load_pred_masks(pred_dir: Path, bundle: SceneBundle) -> np.ndarray:
     hw = (bundle.height, bundle.width)
+    names = [MASK_NAME.format(f) for f in range(bundle.frames)]
+    # a prediction made for a longer scene must not be scored silently
+    extra = sorted({p.name for p in pred_dir.glob("mask_*.pgm")} - set(names))
+    if extra:
+        raise SceneFormatError(
+            f"unexpected prediction mask {pred_dir / extra[0]}: the scene has "
+            f"{bundle.frames} frames ({names[0]} to {names[-1]})")
     masks = []
-    for f in range(bundle.frames):
-        path = pred_dir / f"mask_{f:04d}.pgm"
+    for name in names:
+        path = pred_dir / name
         if not path.exists():
             raise SceneFormatError(f"missing prediction mask {path}")
         mask = read_pgm(path) > 127

@@ -143,12 +143,7 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     counts = np.zeros(len(cloud), dtype=np.int64)
     alive_ids = np.flatnonzero(cloud.alive)
     h, w = bundle.height, bundle.width
-    # flat index of each alive point's source pixel into every frame's pixels
-    src_pixel = cloud.frame_indices[alive_ids].astype(np.int64)
-    src_pixel *= h
-    src_pixel += cloud.pixels[alive_ids, 0]
-    src_pixel *= w
-    src_pixel += cloud.pixels[alive_ids, 1]
+    src_pixel = cloud.pixel_ids[alive_ids]
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
@@ -160,7 +155,7 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
         block = alive_ids[start:start + _BLOCK]
         uv, z = geometry.project_points(
             np.take(cloud.positions, block, axis=0), camera)
-        ids = np.flatnonzero((z > 1e-9)
+        ids = np.flatnonzero((z > geometry.MIN_DEPTH)
                              & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1)
                              & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1))
         samples, ok = bilinear_sample(planes, support, uv[ids, 0], uv[ids, 1])

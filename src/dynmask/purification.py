@@ -36,16 +36,16 @@ DEFAULT_R_FACTOR = 0.02
 class DynamicPointCloud:
     """Struct-of-arrays point cloud with per-point provenance.
 
-    `pixels` stores (row, col) of the source pixel; `frame_indices` the
-    source frame.  Dead points stay in the arrays with alive=False so the
-    bookkeeping back to masks never loses track of provenance.
+    `pixel_ids` stores each point's source pixel as its flat index into
+    the (T, H, W) frame stack, (frame * H + row) * W + col.  Dead points
+    stay in the arrays with alive=False so the bookkeeping back to masks
+    never loses track of provenance.
     """
 
-    positions: np.ndarray      # (M, 3) float64, world frame
-    frame_indices: np.ndarray  # (M,) int32
-    pixels: np.ndarray         # (M, 2) int32, (row, col)
-    saliencies: np.ndarray     # (M,) float64
-    alive: np.ndarray          # (M,) bool
+    positions: np.ndarray   # (M, 3) float64, world frame
+    pixel_ids: np.ndarray   # (M,) int64, flat (frame, row, col)
+    saliencies: np.ndarray  # (M,) float64
+    alive: np.ndarray       # (M,) bool
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -53,14 +53,6 @@ class DynamicPointCloud:
     @property
     def alive_count(self) -> int:
         return int(self.alive.sum())
-
-    @classmethod
-    def empty(cls) -> "DynamicPointCloud":
-        return cls(positions=np.zeros((0, 3)),
-                   frame_indices=np.zeros(0, dtype=np.int32),
-                   pixels=np.zeros((0, 2), dtype=np.int32),
-                   saliencies=np.zeros(0),
-                   alive=np.zeros(0, dtype=bool))
 
 
 def build_index(cloud: DynamicPointCloud) -> cKDTree:
@@ -95,34 +87,25 @@ def unproject_mask(bundle: SceneBundle, masks: np.ndarray,
     `masks` is (T, H, W) boolean; `saliencies`, if given, is the
     (T, H/patch, W/patch) patch-grid saliency, and each point carries the
     value of its pixel's patch (default 1.0).  Pixels with depth 0 are
-    silently skipped.
+    silently skipped.  Points come in pixel-id order: frame-major, then
+    row-major.
     """
-    masks = np.asarray(masks, dtype=bool)
-    positions, frames, pixels, sal = [], [], [], []
-    for f in range(bundle.frames):
-        keep = masks[f] & (bundle.depths[f] > 0)
-        rows, cols = np.nonzero(keep)
-        if len(rows) == 0:
-            continue
-        depth = bundle.depths[f][rows, cols].astype(np.float64)
-        uv = np.column_stack([cols, rows]).astype(np.float64)
-        positions.append(unproject_pixels(uv, depth, bundle.cameras[f]))
-        frames.append(np.full(len(rows), f, dtype=np.int32))
-        pixels.append(np.column_stack([rows, cols]).astype(np.int32))
-        if saliencies is not None:
-            sal.append(np.asarray(
-                saliencies[f][rows // bundle.patch, cols // bundle.patch],
-                dtype=np.float64))
-        else:
-            sal.append(np.ones(len(rows)))
-    if not positions:
-        return DynamicPointCloud.empty()
-    return DynamicPointCloud(
-        positions=np.concatenate(positions),
-        frame_indices=np.concatenate(frames),
-        pixels=np.concatenate(pixels),
-        saliencies=np.concatenate(sal),
-        alive=np.ones(sum(len(p) for p in positions), dtype=bool))
+    ids = np.flatnonzero(np.asarray(masks, dtype=bool) & (bundle.depths > 0))
+    frames, rows, cols = np.unravel_index(ids, bundle.depths.shape)
+    depths = bundle.depths.reshape(-1)[ids].astype(np.float64)
+    positions = np.empty((len(ids), 3))
+    # the ids are frame-major, so each frame's points are one slice
+    bounds = np.searchsorted(frames, np.arange(bundle.frames + 1))
+    for f, camera in enumerate(bundle.cameras):
+        at = slice(bounds[f], bounds[f + 1])
+        uv = np.column_stack([cols[at], rows[at]]).astype(np.float64)
+        positions[at] = unproject_pixels(uv, depths[at], camera)
+    sal = (np.ones(len(ids)) if saliencies is None else np.asarray(
+        saliencies[frames, rows // bundle.patch, cols // bundle.patch],
+        dtype=np.float64))
+    return DynamicPointCloud(positions=positions, pixel_ids=ids,
+                             saliencies=sal,
+                             alive=np.ones(len(ids), dtype=bool))
 
 
 def scene_diagonal(cloud: DynamicPointCloud) -> float:
@@ -225,9 +208,7 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
 def mask_from_cloud(cloud: DynamicPointCloud, bundle: SceneBundle) -> np.ndarray:
     """Rasterize alive points back onto per-frame binary masks (T, H, W)."""
     masks = np.zeros((bundle.frames, bundle.height, bundle.width), dtype=bool)
-    keep = cloud.alive
-    masks[cloud.frame_indices[keep],
-          cloud.pixels[keep, 0], cloud.pixels[keep, 1]] = True
+    masks.reshape(-1)[cloud.pixel_ids[cloud.alive]] = True
     return masks
 
 

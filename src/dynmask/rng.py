@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK = 0xFFFFFFFFFFFFFFFF  # wraps plain-int arithmetic to 64 bits
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -44,17 +44,16 @@ def stream_key(seed: int, *path: int | str) -> int:
     (seed, 1, 3) give unrelated streams.  String elements are hashed with
     blake2b so the mapping is stable across runs and platforms.
     """
-    mask = 0xFFFFFFFFFFFFFFFF
     golden = int(_GOLDEN)
-    key = int(_mix64(np.array([seed & mask], dtype=np.uint64))[0])
+    key = int(_mix64(np.array([seed & _MASK], dtype=np.uint64))[0])
     for part in path:
         if isinstance(part, str):
             digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
             word = int.from_bytes(digest, "little")
         else:
-            word = part & mask
+            word = part & _MASK
         # wrapping arithmetic in plain ints avoids numpy scalar overflow noise
-        key = int(_mix64(np.array([(key + golden * word) & mask],
+        key = int(_mix64(np.array([(key + golden * word) & _MASK],
                                   dtype=np.uint64))[0])
     return key
 

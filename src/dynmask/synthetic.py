@@ -253,11 +253,9 @@ def _intersect_box(origin, dirs, center, half):
     return s
 
 
-def _checker_colors(points: np.ndarray, plane: str, cell: float) -> np.ndarray:
-    if plane == "wall":
-        a, b = points[:, 0], points[:, 1]
-    else:
-        a, b = points[:, 0], points[:, 2]
+def _checker_colors(points: np.ndarray, axis: int, cell: float) -> np.ndarray:
+    """Checker colours of plane points over their x and `axis` coordinates."""
+    a, b = points[:, 0], points[:, axis]
     parity = (np.floor(a / cell) + np.floor(b / cell)).astype(np.int64) & 1
     dark = np.asarray(_CHECKER_DARK)
     light = np.asarray(_CHECKER_LIGHT)
@@ -266,36 +264,30 @@ def _checker_colors(points: np.ndarray, plane: str, cell: float) -> np.ndarray:
 
 def _cast_rays(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
                frame: int):
-    """Nearest hit along each ray: (depth, instance, surface, hit_points).
+    """Nearest hit along each ray: (depth, instance, hit, hit_points).
 
-    `surface` is "wall" / "floor" / "mover" / "none"; depth 0 means miss.
+    `hit` is 0 for the wall, 1 for the floor, 2 + k for mover k and -1 for
+    a miss, where depth is 0; `instance` is k on mover k and -1 elsewhere.
     """
-    candidates = [("wall", -1, _intersect_plane(origin, dirs, 2, spec.wall_z)),
-                  ("floor", -1, _intersect_plane(origin, dirs, 1, spec.floor_y))]
-    for idx, mover in enumerate(spec.movers):
+    candidates = [_intersect_plane(origin, dirs, 2, spec.wall_z),
+                  _intersect_plane(origin, dirs, 1, spec.floor_y)]
+    for mover in spec.movers:
         pos = mover.positions(spec.frames)[frame]
         if mover.shape == "sphere":
             s = _intersect_sphere(origin, dirs, pos, mover.size)
         else:
             s = _intersect_box(origin, dirs, pos, np.full(3, mover.size / 2.0))
-        candidates.append(("mover", idx, s))
+        candidates.append(s)
 
-    all_s = np.stack([s for _, _, s in candidates])
+    all_s = np.stack(candidates)
     best = all_s.argmin(axis=0)
     depth = all_s[best, np.arange(dirs.shape[0])]
     missed = ~np.isfinite(depth)
-
-    n = dirs.shape[0]
-    instance = np.full(n, -1, dtype=np.int32)
-    surface = np.full(n, "none", dtype=object)
-    for k, (kind, idx, _) in enumerate(candidates):
-        sel = (best == k) & ~missed
-        if kind == "mover":
-            instance[sel] = idx
-        surface[sel] = kind
+    hit = np.where(missed, -1, best)
+    instance = np.where(hit >= 2, hit - 2, -1).astype(np.int32)
     depth = np.where(missed, 0.0, depth)
     points = origin[None, :] + depth[:, None] * dirs
-    return depth, instance, surface, points
+    return depth, instance, hit, points
 
 
 def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
@@ -304,15 +296,15 @@ def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
     h, w = spec.height, spec.width
     us, vs = np.meshgrid(np.arange(w), np.arange(h))
     dirs = _ray_directions(np.column_stack([us.ravel(), vs.ravel()]), cam)
-    depth, instance, surface, points = _cast_rays(spec, cam.center, dirs,
-                                                  frame)
+    depth, instance, hit, points = _cast_rays(spec, cam.center, dirs, frame)
     color = np.zeros((dirs.shape[0], 3))
     for idx, mover in enumerate(spec.movers):
         color[instance == idx] = mover.color[None, :]
-    for plane in ("wall", "floor"):
-        sel = surface == plane
+    # hit 0, the wall, is checkered over (x, y); hit 1, the floor, over (x, z)
+    for plane, axis in ((0, 1), (1, 2)):
+        sel = hit == plane
         if sel.any():
-            color[sel] = _checker_colors(points[sel], plane, spec.checker)
+            color[sel] = _checker_colors(points[sel], axis, spec.checker)
     return (depth.reshape(h, w), color.reshape(h, w, 3),
             instance.reshape(h, w))
 

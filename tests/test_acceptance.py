@@ -38,8 +38,7 @@ def _cloud_of(points):
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(points)
     return DynamicPointCloud(positions=points,
-                             frame_indices=np.zeros(n, dtype=np.int32),
-                             pixels=np.zeros((n, 2), dtype=np.int32),
+                             pixel_ids=np.zeros(n, dtype=np.int64),
                              saliencies=np.ones(n),
                              alive=np.ones(n, dtype=bool))
 

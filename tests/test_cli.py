@@ -344,6 +344,15 @@ class TestEval:
         assert main(["eval", str(broken), str(scene_dir)]) == 2
         assert "mask_0001.pgm" in capsys.readouterr().err
 
+    def test_prediction_mask_beyond_scene_frames(self, tmp_path, scene_dir,
+                                                 pred_dir, capsys):
+        # a prediction made for a longer scene is not scored
+        longer = tmp_path / "pred"
+        shutil.copytree(pred_dir, longer)
+        shutil.copy(longer / "mask_0000.pgm", longer / "mask_0099.pgm")
+        assert main(["eval", str(longer), str(scene_dir)]) == 2
+        assert str(longer / "mask_0099.pgm") in capsys.readouterr().err
+
     @pytest.mark.parametrize("header", [b"P5\nab 24\n255\n",
                                         b"P5\n-32 24\n255\n",
                                         b"P5\n32 24\n65535\n"])

@@ -130,9 +130,9 @@ def reference_score_cloud(cloud, bundle, confidences,
     """`score_cloud` over full-length arrays with an (H, W, 5) stack."""
     alive_ids = np.flatnonzero(cloud.alive)
     pos = cloud.positions[alive_ids]
-    frames = cloud.frame_indices[alive_ids]
-    colors = bundle.images[frames, cloud.pixels[alive_ids, 0],
-                           cloud.pixels[alive_ids, 1]].astype(np.float64)
+    frames, rows, cols = np.unravel_index(cloud.pixel_ids[alive_ids],
+                                          bundle.depths.shape)
+    colors = bundle.images[frames, rows, cols].astype(np.float64)
     h, w = bundle.height, bundle.width
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
@@ -366,8 +366,7 @@ def _views_seeing(bundle, position,
     """Views that see one point: (score_cloud's count, the oracle's count)."""
     cloud = DynamicPointCloud(
         positions=np.asarray(position, dtype=np.float64).reshape(1, 3),
-        frame_indices=np.zeros(1, dtype=np.int32),
-        pixels=np.zeros((1, 2), dtype=np.int32),
+        pixel_ids=np.zeros(1, dtype=np.int64),
         saliencies=np.ones(1), alive=np.ones(1, dtype=bool))
     conf = activate_confidence(bundle.confidence_logits)
     _, counts = score_cloud(cloud, bundle, conf, occlusion_tol=occlusion_tol)
@@ -454,9 +453,9 @@ class TestScoreCloud:
         masks = gen.random((3, 10, 14)) > 0.72
         cloud = unproject_mask(bundle, masks)
         scores, counts = score_cloud(cloud, bundle, conf)
+        pixels = np.unravel_index(cloud.pixel_ids, masks.shape)
         for i in range(len(cloud)):
-            f = cloud.frame_indices[i]
-            row, col = cloud.pixels[i]
+            f, row, col = (a[i] for a in pixels)
             recs = gather_projections(cloud.positions[i],
                                       bundle.images[f, row, col],
                                       bundle, conf, point_id=i)
@@ -727,8 +726,7 @@ class TestRefineMasks:
                     refine_masks(cloud, bundle, conf, theta_dyn=0.1)[1]):
             assert not np.array_equal(out.alive, before)
             np.testing.assert_array_equal(cloud.alive, before)
-            for name in ("positions", "frame_indices", "pixels",
-                         "saliencies"):
+            for name in ("positions", "pixel_ids", "saliencies"):
                 assert getattr(out, name) is getattr(cloud, name), name
 
     def test_theta_zero_keeps_all_scored(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dynmask import purification
+from dynmask.crossview import activate_confidence, refine_masks
 from dynmask.geometry import CameraModel, project_points
 from dynmask.purification import (DynamicPointCloud, _outright_alive,
                                   build_index, mask_from_cloud, purify,
@@ -15,15 +16,13 @@ from dynmask.purification import (DynamicPointCloud, _outright_alive,
 from dynmask.tensor_io import SceneBundle
 
 
-def _cloud(points, alive=None, frames=None, pixels=None, saliencies=None):
+def _cloud(points, alive=None, pixel_ids=None, saliencies=None):
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(points)
     return DynamicPointCloud(
         positions=points,
-        frame_indices=np.zeros(n, dtype=np.int32) if frames is None
-        else np.asarray(frames, dtype=np.int32),
-        pixels=np.zeros((n, 2), dtype=np.int32) if pixels is None
-        else np.asarray(pixels, dtype=np.int32),
+        pixel_ids=np.zeros(n, dtype=np.int64) if pixel_ids is None
+        else np.asarray(pixel_ids, dtype=np.int64),
         saliencies=np.ones(n) if saliencies is None else np.asarray(saliencies, float),
         alive=np.ones(n, dtype=bool) if alive is None else np.asarray(alive, bool),
     )
@@ -61,6 +60,12 @@ def _dense_ball(n, radius, seed):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * gen.random(n) ** (1 / 3)
     return dirs * radii[:, None] + [5.0, 5.0, 5.0]
+
+
+def _lifted_empty():
+    """The zero-point cloud that an all-false mask lifts to."""
+    bundle = _bundle()
+    return unproject_mask(bundle, np.zeros(bundle.depths.shape, bool))
 
 
 def _bundle(frames=2, h=6, w=8, seed=0, depth_value=2.0):
@@ -149,7 +154,7 @@ class TestSceneDiagonal:
         assert scene_diagonal(_cloud(corners)) == pytest.approx(np.sqrt(3))
 
     def test_empty(self):
-        assert scene_diagonal(DynamicPointCloud.empty()) == 0.0
+        assert scene_diagonal(_lifted_empty()) == 0.0
 
     def test_ignores_dead_points(self):
         cloud = _cloud([[0, 0, 0], [1, 1, 1], [99, 99, 99]],
@@ -234,7 +239,7 @@ class TestPurify:
         np.testing.assert_array_equal(a.alive[perm], b.alive)
 
     def test_empty_and_single_point(self):
-        assert purify(DynamicPointCloud.empty(), tau=16).alive_count == 0
+        assert purify(_lifted_empty(), tau=16).alive_count == 0
         single = purify(_cloud([[1, 2, 3]]), tau=16)
         assert not single.alive.any()
         # tau=0 keeps even a lone point
@@ -370,9 +375,38 @@ class TestPurify:
 
 class TestUnprojectAndRasterize:
     def test_empty_mask(self):
+        # an all-false mask lifts to a zero-point cloud that every stage
+        # passes through unchanged
         bundle = _bundle()
         masks = np.zeros((bundle.frames, bundle.height, bundle.width), bool)
-        assert len(unproject_mask(bundle, masks)) == 0
+        cloud = unproject_mask(bundle, masks)
+        assert cloud.positions.shape == (0, 3)
+        assert cloud.pixel_ids.shape == (0,)
+        assert cloud.pixel_ids.dtype == np.int64
+        assert cloud.saliencies.shape == cloud.alive.shape == (0,)
+        refined, relabeled = refine_masks(
+            cloud, bundle, activate_confidence(bundle.confidence_logits))
+        for out in (purify(cloud, tau=0), relabeled):
+            assert out.positions.shape == (0, 3) and len(out.alive) == 0
+            assert out.pixel_ids is cloud.pixel_ids
+        np.testing.assert_array_equal(mask_from_cloud(cloud, bundle), masks)
+        np.testing.assert_array_equal(refined, masks)
+
+    def test_pixel_ids_frame_major(self):
+        # strictly increasing: frame-major, then row-major within a frame
+        gen = np.random.default_rng(12)
+        bundle = _bundle(frames=3, seed=13)
+        masks = gen.random(bundle.depths.shape) > 0.5
+        bundle.depths[1, 2, :] = 0.0
+        cloud = unproject_mask(bundle, masks)
+        assert cloud.pixel_ids.dtype == np.int64
+        assert (np.diff(cloud.pixel_ids) > 0).all()
+        expect = [(f, row, col) for f in range(3)
+                  for row in range(bundle.height)
+                  for col in range(bundle.width)
+                  if masks[f, row, col] and bundle.depths[f, row, col] > 0]
+        got = np.unravel_index(cloud.pixel_ids, masks.shape)
+        assert list(zip(*(a.tolist() for a in got))) == expect
 
     def test_principal_point(self):
         bundle = _bundle(frames=1)
@@ -388,7 +422,7 @@ class TestUnprojectAndRasterize:
         masks = np.ones((1, bundle.height, bundle.width), bool)
         cloud = unproject_mask(bundle, masks)
         assert len(cloud) == bundle.height * bundle.width - 1
-        assert not any((cloud.pixels == [2, 3]).all(axis=1))
+        assert np.ravel_multi_index((0, 2, 3), masks.shape) not in cloud.pixel_ids
 
     def test_reprojection_round_trip(self):
         gen = np.random.default_rng(8)
@@ -396,13 +430,13 @@ class TestUnprojectAndRasterize:
         bundle.depths[:] = gen.uniform(1.0, 5.0, bundle.depths.shape).astype(np.float32)
         masks = gen.random((2, bundle.height, bundle.width)) > 0.5
         cloud = unproject_mask(bundle, masks)
+        frames, rows, cols = np.unravel_index(cloud.pixel_ids, masks.shape)
         for f in range(2):
-            sel = cloud.frame_indices == f
+            sel = frames == f
             uv, z = project_points(cloud.positions[sel], bundle.cameras[f])
-            expect = cloud.pixels[sel][:, ::-1]  # (row,col) -> (u,v)
+            expect = np.column_stack([cols[sel], rows[sel]])  # (u, v)
             np.testing.assert_allclose(uv, expect, atol=1e-4)
-            np.testing.assert_allclose(z, bundle.depths[f][cloud.pixels[sel, 0],
-                                                           cloud.pixels[sel, 1]],
+            np.testing.assert_allclose(z, bundle.depths[f][rows[sel], cols[sel]],
                                        rtol=1e-6)
 
     def test_saliency_carried(self):
@@ -430,7 +464,9 @@ class TestUnprojectAndRasterize:
 
     def test_single_point_rasterization(self):
         bundle = _bundle(frames=3)
-        cloud = _cloud([[0, 0, 2.0]], frames=[2], pixels=[[10 % bundle.height, 20 % bundle.width]])
+        shape = (bundle.frames, bundle.height, bundle.width)
+        cloud = _cloud([[0, 0, 2.0]], pixel_ids=[np.ravel_multi_index(
+            (2, 10 % bundle.height, 20 % bundle.width), shape)])
         out = mask_from_cloud(cloud, bundle)
         assert out.sum() == 1
         assert out[2, 10 % bundle.height, 20 % bundle.width]
@@ -485,9 +521,10 @@ class TestPlyRoundTrip:
         self._assert_exact(tmp_path / "c.ply", cloud)
 
     def test_empty_cloud(self, tmp_path):
-        write_ply(DynamicPointCloud.empty(), tmp_path / "c.ply")
+        cloud = _lifted_empty()
+        write_ply(cloud, tmp_path / "c.ply")
         assert (tmp_path / "c.ply").read_bytes() == PLY_HEADER % 0
-        self._assert_exact(tmp_path / "c.ply", DynamicPointCloud.empty())
+        self._assert_exact(tmp_path / "c.ply", cloud)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda head, body: ([b"plx"] + head[1:], body), "not a PLY file"),

@@ -1,8 +1,8 @@
 """The library holds only what the pipeline, the CLI and the benchmark run.
 
 Reference oracles that only tests call live in tests/oracles.py; these
-tests keep them, and options and fields that only tests use, from
-drifting back into src/dynmask.
+tests keep them, and options, fields and constants that only tests use,
+from drifting back into src/dynmask.
 """
 
 import ast
@@ -34,6 +34,14 @@ def _uses(node):
             yield sub.attr
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             yield sub.value
+
+
+def _bound_names(node):
+    """The names a module-level assignment binds (none for other nodes)."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)}
 
 
 def _callee(call):
@@ -110,6 +118,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                        if name not in used)
     assert not test_only, ("called only by tests (move to tests/oracles.py): "
                            + ", ".join(test_only))
+
+
+def test_every_module_constant_is_read_outside_the_tests():
+    defined, used = [], set()
+    for path, tree in zip(LIBRARY, _parse(LIBRARY)):
+        for node in tree.body:
+            own = _bound_names(node)
+            defined += [f"{path.stem}.{name}" for name in sorted(own)]
+            # the constant's own assignment does not count as its use
+            used.update(u for u in _uses(node) if u not in own)
+    for tree in _parse(BENCHMARK):
+        used.update(_uses(tree))
+    unread = [name for name in defined if name.split(".")[1] not in used]
+    assert not unread, "read by no code (drop it): " + ", ".join(unread)
 
 
 def test_every_parameter_with_a_default_is_passed_outside_the_tests():

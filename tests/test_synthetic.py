@@ -506,10 +506,9 @@ class TestCorrupt:
         patch = out.patch
         centers = {(f, pi * patch + patch // 2, pj * patch + patch // 2)
                    for f, pi, pj in count_injected_cells(bundle, out)}
-        injected_ids = [i for i in range(len(cloud))
-                        if (int(cloud.frame_indices[i]),
-                            int(cloud.pixels[i, 0]),
-                            int(cloud.pixels[i, 1])) in centers]
+        pixels = list(zip(*(a.tolist() for a in np.unravel_index(
+            cloud.pixel_ids, masks.shape))))
+        injected_ids = [i for i in range(len(cloud)) if pixels[i] in centers]
         assert len(injected_ids) == len(centers) == 40
         removed = (~purified.alive[injected_ids]).mean()
         assert removed >= 0.9
@@ -517,9 +516,7 @@ class TestCorrupt:
         # the dense mover cluster must survive nearly untouched
         interior = np.stack([ndimage.binary_erosion(bundle.gt_masks[f], iterations=2)
                              for f in range(out.frames)])
-        cluster = [i for i in range(len(cloud))
-                   if interior[cloud.frame_indices[i],
-                               cloud.pixels[i, 0], cloud.pixels[i, 1]]]
+        cluster = [i for i in range(len(cloud)) if interior[pixels[i]]]
         assert len(cluster) > 100
         survived = purified.alive[cluster].mean()
         assert survived >= 0.99
