@@ -120,6 +120,9 @@ def cmd_mask(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # masks an earlier run wrote for a longer scene would fail its eval
+    for path in _extra_masks(out, bundle.frames):
+        path.unlink()
     for f in range(bundle.frames):
         write_pgm(result.masks[f], out / MASK_NAME.format(f))
     purification.write_ply(result.cloud, out / "cloud.ply")
@@ -139,14 +142,21 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
+def _extra_masks(pred_dir: Path, frames: int) -> list[Path]:
+    """The `mask_*.pgm` files in `pred_dir` that name no frame of a
+    `frames`-frame scene, sorted."""
+    names = {MASK_NAME.format(f) for f in range(frames)}
+    return sorted(p for p in pred_dir.glob("mask_*.pgm") if p.name not in names)
+
+
 def _load_pred_masks(pred_dir: Path, bundle: SceneBundle) -> np.ndarray:
     hw = (bundle.height, bundle.width)
     names = [MASK_NAME.format(f) for f in range(bundle.frames)]
     # a prediction made for a longer scene must not be scored silently
-    extra = sorted({p.name for p in pred_dir.glob("mask_*.pgm")} - set(names))
+    extra = _extra_masks(pred_dir, bundle.frames)
     if extra:
         raise SceneFormatError(
-            f"unexpected prediction mask {pred_dir / extra[0]}: the scene has "
+            f"unexpected prediction mask {extra[0]}: the scene has "
             f"{bundle.frames} frames ({names[0]} to {names[-1]})")
     masks = []
     for name in names:

@@ -53,7 +53,9 @@ DEFAULT_OCCLUSION_TOL = 0.05
 # per-view temporary of `score_cloud`, whatever the size of the cloud
 _BLOCK = 1 << 14
 # threads that score one view's blocks at once: every CPU this process may
-# run on (`taskset` narrows it); a call with one block runs on its caller
+# run on (`taskset` narrows it); a call with one block runs on its caller.
+# `evaluation.cloud_metrics` runs its nearest-neighbor queries on as many
+# threads
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 

@@ -6,6 +6,16 @@ F-measure (4-connected contours matched within a tolerance radius of
 nearest-neighbor distances: accuracy (pred to truth), completeness (truth
 to pred), and their symmetric average, each as mean and median.
 
+The boundary measure looks only at contour pixels.  A contour pixel of
+one mask is matched when some contour pixel of the other mask lies at an
+integer offset (dy, dx) with sqrt(dy*dy + dx*dx) <= tol, the offsets taken
+once per call.  That float64 square root is the one a Euclidean distance
+transform takes of the same integer offsets, and the transform's distance
+is the smallest of them, so every decision equals `distance <= tol` bit
+for bit without a transform of the whole frame.  Each nearest-neighbor
+query of the cloud metrics is independent of the others, so they run on
+every CPU the process may use and give the same distances on any number.
+
 All metrics are pure functions of their inputs, deterministic, and
 reported as fractions in [0, 1] for masks and meters for distances.
 """
@@ -15,15 +25,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
+
+from . import crossview
 
 DEFAULT_BOUNDARY_TOL = 0.008
 RECALL_THRESHOLD = 0.5
-
-# 4-connectivity: a mask pixel is boundary if any of its 4 neighbors
-# (or the outside of the image) is background
-_CROSS = ndimage.generate_binary_structure(2, 1)
 
 
 @dataclass
@@ -87,11 +94,44 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     touching the edge still contributes its outline there.
     """
     mask = np.asarray(mask, dtype=bool)
-    eroded = ndimage.binary_erosion(mask, structure=_CROSS, border_value=0)
-    return mask & ~eroded
+    inner = np.zeros_like(mask)
+    inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
+                         & mask[1:-1, :-2] & mask[1:-1, 2:])
+    return mask & ~inner
 
 
-def _boundary_f_single(pred: np.ndarray, gt: np.ndarray, tol: float) -> float:
+def _disk_offsets(tol: float) -> np.ndarray:
+    """The integer offsets (dy, dx) at distance <= tol, as (K, 2).
+
+    The distance is the float64 square root a Euclidean distance transform
+    takes, so an offset is in the disk exactly when the transform would
+    put it within `tol`.  No offset exceeds floor(tol) on either axis.
+    """
+    r = int(np.floor(tol))
+    return np.array([(dy, dx) for dy in range(-r, r + 1)
+                     for dx in range(-r, r + 1)
+                     if np.sqrt(float(dy * dy + dx * dx)) <= tol])
+
+
+def _matched(src: np.ndarray, dst: np.ndarray, disk: np.ndarray) -> np.ndarray:
+    """Per contour pixel of `src`, in row-major order: is a contour pixel
+    of `dst` at one of the `disk` offsets from it?"""
+    h, w = dst.shape
+    r = int(np.abs(disk).max())
+    pw = w + 2 * r
+    padded = np.zeros((h + 2 * r, pw), dtype=bool)
+    padded[r:r + h, r:r + w] = dst
+    rows, cols = np.nonzero(src)
+    ids = (rows + r) * pw + (cols + r)
+    flat = padded.ravel()
+    hit = np.zeros(len(ids), dtype=bool)
+    for shift in disk @ [pw, 1]:
+        hit |= flat[ids + shift]
+    return hit
+
+
+def _boundary_f_single(pred: np.ndarray, gt: np.ndarray,
+                       disk: np.ndarray) -> float:
     pb = boundary_pixels(pred)
     gb = boundary_pixels(gt)
     n_pred = int(pb.sum())
@@ -100,11 +140,8 @@ def _boundary_f_single(pred: np.ndarray, gt: np.ndarray, tol: float) -> float:
         return 1.0
     if n_pred == 0 or n_gt == 0:
         return 0.0
-    # distance to the nearest contour pixel of the other mask
-    dist_to_gt = ndimage.distance_transform_edt(~gb)
-    dist_to_pred = ndimage.distance_transform_edt(~pb)
-    precision = float((dist_to_gt[pb] <= tol).mean())
-    recall = float((dist_to_pred[gb] <= tol).mean())
+    precision = float(_matched(pb, gb, disk).mean())
+    recall = float(_matched(gb, pb, disk).mean())
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -113,8 +150,8 @@ def _boundary_f_single(pred: np.ndarray, gt: np.ndarray, tol: float) -> float:
 def boundary_f_frames(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     pred, gt = _check_stacks(pred, gt)
     h, w = pred.shape[1:]
-    tol = DEFAULT_BOUNDARY_TOL * float(np.hypot(h, w))
-    return np.array([_boundary_f_single(pred[f], gt[f], tol)
+    disk = _disk_offsets(DEFAULT_BOUNDARY_TOL * float(np.hypot(h, w)))
+    return np.array([_boundary_f_single(pred[f], gt[f], disk)
                      for f in range(pred.shape[0])])
 
 
@@ -134,14 +171,19 @@ def cloud_metrics(pred: np.ndarray, gt: np.ndarray) -> dict:
     """Directed nearest-neighbor statistics between two point sets.
 
     Nearest distances do not depend on a tree's shape, and trees built
-    without median splits or node compaction build faster.
+    without median splits or node compaction build faster.  The queries
+    run on every CPU the process may use (`crossview._WORKERS`); each
+    point's query is independent, so the distances do not depend on it.
     """
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("cloud metrics need non-empty point sets")
-    acc = cKDTree(gt, balanced_tree=False, compact_nodes=False).query(pred)[0]
-    comp = cKDTree(pred, balanced_tree=False, compact_nodes=False).query(gt)[0]
+    workers = crossview._WORKERS
+    acc = cKDTree(gt, balanced_tree=False, compact_nodes=False).query(
+        pred, workers=workers)[0]
+    comp = cKDTree(pred, balanced_tree=False, compact_nodes=False).query(
+        gt, workers=workers)[0]
     out = {
         "acc_mean": float(acc.mean()),
         "acc_median": float(np.median(acc)),

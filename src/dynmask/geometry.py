@@ -79,7 +79,12 @@ class CameraModel:
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.R.T + self.t
+        cam = pts @ self.R.T
+        # column by column: the same sums as broadcasting `+ self.t`,
+        # without an inner loop of length 3 per point
+        for k in range(3):
+            cam[..., k] += self.t[k]
+        return cam
 
     def camera_to_world(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -145,7 +150,11 @@ def project_points(points: np.ndarray,
     proj = cam_pts @ cam.K.T
     z = proj[:, 2]
     safe = np.where(np.abs(z) > MIN_DEPTH, z, MIN_DEPTH)
-    return proj[:, :2] / safe[:, None], z
+    # column by column, like `world_to_camera`'s translation
+    uv = np.empty((len(z), 2))
+    for k in range(2):
+        np.divide(proj[:, k], safe, out=uv[:, k])
+    return uv, z
 
 
 def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,

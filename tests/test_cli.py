@@ -192,6 +192,21 @@ class TestMask:
         da.pop("timing.json"), db.pop("timing.json")
         assert da == db
 
+    def test_shorter_scene_replaces_longer_masks(self, tmp_path):
+        # masking a 6-frame scene into the directory of an 8-frame run
+        # removes the two masks the shorter scene has no frame for
+        small = {**SPEC, "width": 32, "height": 24, "frames": 8}
+        out = tmp_path / "pred"
+        for frames in (8, 6):
+            spec = _write_spec(tmp_path / f"spec{frames}.json",
+                               {**small, "frames": frames})
+            scene = tmp_path / f"scene{frames}"
+            assert main(["generate", spec, "--out", str(scene)]) == 0
+            assert main(["mask", str(scene), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("mask_*.pgm")) == [
+            f"mask_{f:04d}.pgm" for f in range(6)]
+        assert main(["eval", str(out), str(tmp_path / "scene6")]) == 0
+
     def test_matches_library_run(self, scene_dir, pred_dir):
         bundle = load_scene(scene_dir)
         result = run(bundle, PipelineConfig())

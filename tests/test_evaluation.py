@@ -1,18 +1,20 @@
 """Tests for segmentation and cloud metrics.
 
-Oracles: hand-counted overlaps for Jaccard, an O(N^2) pixel matcher for
-the boundary measure, and a brute-force distance matrix for cloud
-statistics.
+Oracles: hand-counted overlaps for Jaccard, an O(N^2) pixel matcher and
+whole-frame distance transforms for the boundary measure, and a
+brute-force distance matrix for cloud statistics.
 """
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from dynmask.evaluation import (MetricReport, boundary_f_frames,
-                                boundary_pixels, cloud_metrics,
-                                evaluate_masks, jaccard_frames,
-                                recall_fraction)
-from oracles import boundary_f, jaccard_mean
+from dynmask import crossview
+from dynmask.evaluation import (DEFAULT_BOUNDARY_TOL, MetricReport,
+                                boundary_f_frames, boundary_pixels,
+                                cloud_metrics, evaluate_masks,
+                                jaccard_frames, recall_fraction)
+from oracles import boundary_f, boundary_f_frames_edt, jaccard_mean
 
 
 def _blob(h, w, r0, c0, size):
@@ -142,6 +144,68 @@ class TestBoundaryF:
         assert boundary_f(pred, gt) == 0.0
 
 
+def _smooth_blobs(rng, shape, level):
+    """Random blobby masks: thresholded smoothed noise, so the contours
+    run at every angle and many blobs touch the image border."""
+    sigma = (0.0,) * (len(shape) - 2) + (2.0, 2.0)
+    return ndimage.gaussian_filter(rng.random(shape), sigma) > level
+
+
+class TestBoundaryAgainstDistanceTransform:
+    """The contour-only measure equals the whole-frame EDT oracle exactly."""
+
+    @pytest.mark.parametrize("h, w, tol, shift", [(150, 200, 2.0, (0, 2)),
+                                                  (375, 500, 5.0, (3, 4))])
+    def test_integer_tolerance_sits_on_offsets(self, h, w, tol, shift):
+        # the shift lies exactly on the bound, so every contour pixel of a
+        # disk and of the shifted disk is matched only through it
+        assert DEFAULT_BOUNDARY_TOL * float(np.hypot(h, w)) == tol
+        rng = np.random.default_rng(h)
+        pred = _smooth_blobs(rng, (3, h, w), 0.5)
+        gt = np.roll(pred, (3, 4), axis=(1, 2))
+        rows, cols = np.ogrid[:h, :w]
+        pred[1] = (rows - h / 2) ** 2 + (cols - w / 3) ** 2 < (h / 4) ** 2
+        gt[1] = np.roll(pred[1], shift, axis=(0, 1))
+        gt[2] = np.roll(pred[1], (shift[0], shift[1] + 1), axis=(0, 1))
+        got = boundary_f_frames(pred, gt)
+        assert np.array_equal(got, boundary_f_frames_edt(pred, gt))
+        assert got[1] == 1.0 and got[2] < 1.0
+
+    @pytest.mark.parametrize("h, w", [(240, 320), (72, 96), (150, 200),
+                                      (375, 500), (1, 37), (29, 1), (1, 1)])
+    def test_random_and_blob_masks(self, h, w):
+        rng = np.random.default_rng(h * 1000 + w)
+        sparse = rng.random((2, h, w)) > 0.7
+        dense = rng.random((2, h, w)) > 0.3
+        blobs, blobs2 = _smooth_blobs(rng, (2, 2, h, w), 0.5)
+        for pred, gt in ((sparse, dense), (blobs, blobs2), (sparse, blobs),
+                         (blobs, dense)):
+            assert np.array_equal(boundary_f_frames(pred, gt),
+                                  boundary_f_frames_edt(pred, gt))
+
+    def test_border_touching_blobs(self):
+        h, w = 72, 96
+        pred = np.zeros((4, h, w), bool)
+        pred[0, :10, :10] = True          # corner
+        pred[1, 30:40, -6:] = True        # right edge
+        pred[2, -1:, 20:70] = True        # one-row strip on the bottom edge
+        pred[3] = True                    # the whole frame
+        gt = np.roll(pred, (1, -1), axis=(1, 2))
+        gt[3, :, :50] = False
+        assert np.array_equal(boundary_f_frames(pred, gt),
+                              boundary_f_frames_edt(pred, gt))
+
+    def test_empty_pred_or_gt(self):
+        rng = np.random.default_rng(3)
+        full = _smooth_blobs(rng, (2, 240, 320), 0.5)
+        empty = np.zeros_like(full)
+        for pred, gt in ((empty, full), (full, empty), (empty, empty)):
+            got = boundary_f_frames(pred, gt)
+            assert np.array_equal(got, boundary_f_frames_edt(pred, gt))
+        assert list(boundary_f_frames(empty, full)) == [0.0, 0.0]
+        assert list(boundary_f_frames(empty, empty)) == [1.0, 1.0]
+
+
 class TestRecallFraction:
     def test_strictly_above_threshold(self):
         series = np.array([0.4, 0.5, 0.51, 0.9])
@@ -187,7 +251,8 @@ class TestCloudMetrics:
         assert out["dist_median"] == (out["acc_median"]
                                       + out["comp_median"]) / 2
 
-    def test_far_points_match_brute_force(self):
+    @staticmethod
+    def _far_point_clouds():
         # clustered clouds of several tree leaves each, with points far
         # outside the other cloud (the queries that visit the most nodes),
         # shared points and a flat cluster that degenerates a split axis
@@ -198,6 +263,10 @@ class TestCloudMetrics:
                           gt[:30],
                           rng.uniform(-1e3, 1e3, size=(40, 3)),
                           [[1e6, -1e6, 1e6], [0, 0, -5e4]]])
+        return pred, gt
+
+    def test_far_points_match_brute_force(self):
+        pred, gt = self._far_point_clouds()
         out = cloud_metrics(pred, gt)
         diff = pred[:, None, :] - gt[None, :, :]
         dmat = np.sqrt((diff * diff).sum(axis=-1))
@@ -206,6 +275,14 @@ class TestCloudMetrics:
         assert out["acc_median"] == float(np.median(acc))
         assert out["comp_mean"] == float(comp.mean())
         assert out["comp_median"] == float(np.median(comp))
+
+    def test_same_distances_on_any_number_of_workers(self, monkeypatch):
+        pred, gt = self._far_point_clouds()
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crossview, "_WORKERS", workers)
+            outs.append(cloud_metrics(pred, gt))
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_swap_exchanges_directions(self):
         rng = np.random.default_rng(42)

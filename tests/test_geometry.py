@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dynmask.geometry import (CameraModel, epipolar_residual_batch,
+from dynmask.geometry import (MIN_DEPTH, CameraModel, epipolar_residual_batch,
                               essential_from_poses,
                               pixel_rays, project_dynamic_world_batch,
                               project_points, skew, unproject_pixels)
@@ -149,6 +149,27 @@ class TestProjection:
         uv, z = project_rigid_batch(np.array([[32.0, 24.0]]), [2.0], ref, tgt)
         assert z[0] < 0
         assert np.isfinite(uv).all()
+
+    def test_projection_bits_match_broadcast_expression(self):
+        # the column-wise translation and divide give the bits of the
+        # broadcast expression, also behind the camera and at |z| <= MIN_DEPTH
+        gen = np.random.default_rng(5)
+        cam = _random_camera(gen, spread=2.0)
+        pts = gen.normal(scale=3.0, size=(4096, 3))
+        # camera-frame depths 0, +-MIN_DEPTH, +-MIN_DEPTH / 2 and negative
+        near = cam.camera_to_world(np.column_stack([
+            gen.normal(size=(7, 2)),
+            [0.0, MIN_DEPTH, -MIN_DEPTH, MIN_DEPTH / 2, -MIN_DEPTH / 2,
+             -1.0, -1e-3]]))
+        pts = np.vstack([pts, near])
+        cam_pts = pts @ cam.R.T + cam.t
+        proj = cam_pts @ cam.K.T
+        safe = np.where(np.abs(proj[:, 2]) > MIN_DEPTH, proj[:, 2], MIN_DEPTH)
+        uv, z = project_points(pts, cam)
+        np.testing.assert_array_equal(cam.world_to_camera(pts), cam_pts)
+        np.testing.assert_array_equal(uv, proj[:, :2] / safe[:, None])
+        np.testing.assert_array_equal(z, proj[:, 2])
+        assert (np.abs(z) <= MIN_DEPTH).sum() >= 3 and (z < 0).any()
 
     def test_dynamic_equals_rigid_on_zero_motion(self):
         gen = np.random.default_rng(0)  # seed chosen so the point stays visible
