@@ -9,11 +9,19 @@ several noisy ones.  Points whose weighted inconsistency stays below a
 threshold are re-labeled static; the survivors form the final masks after
 a single morphological closing pass.
 
-The sampler is exact, not approximate: each view's depth, RGB and
-confidence are sampled plane-major from one (5, H, W) array, but every
-point still sums its taps in the order 00, 01, 10, 11 and its views in
-index order, so scores are bit-identical to sampling the (H, W, C) stack
-tap by tap with per-point (N, C) gathers.
+The sampler is exact, not approximate.  Each view's depth, RGB and
+confidence are sampled plane-major from one (5, H + 1, W + 1) array whose
+extra last row and column are 0, with a support mask that is False there.
+The scorer samples only points in frame (0 <= u <= W - 1,
+0 <= v <= H - 1), so the top-left tap is in the image and the other three
+are its neighbours at fixed offsets: no tap needs clamping or a range
+test.  A tap past the last column or row lands in the pad, where its
+bilinear weight is already 0 (it is reached only at u = W - 1 or
+v = H - 1 exactly), as was the weight of the clamped tap that a
+general-coordinate sampler reads there.  Every point sums its taps in the
+order 00, 01, 10, 11 and its views in index order, so scores are
+bit-identical to sampling the unpadded (H, W, C) stack tap by tap with
+clamped per-point (N, C) gathers.
 
 Within each view the alive points are projected and sampled in blocks of
 a fixed size.  A block boundary changes no sum, so the result is exact
@@ -28,18 +36,24 @@ GIL in the gathers and arithmetic, so the threads run at once.  Each
 block adds only into its own points' sums and every block of a view
 ends before the next view starts, so the outputs are byte-identical at
 any worker count.
+
+The closing pads each frame with one ring of background and applies a
+3x3 dilation and then a 3x3 erosion, each as a pass along the rows and a
+pass along the columns of shifted boolean ORs or ANDs.  A 3x3 box is the
+product of its row and its column, so this is the binary closing with a
+(3, 3) structure, bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
-from scipy import ndimage
 
 from . import geometry
 from .purification import DynamicPointCloud, mask_from_cloud
@@ -77,43 +91,48 @@ def activate_confidence(logits: np.ndarray) -> np.ndarray:
 def bilinear_sample(planes: np.ndarray, support: np.ndarray,
                     u: np.ndarray, v: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear interpolation of (C, H, W) planes, restricted to a mask.
+    """Bilinear interpolation of padded planes at in-frame points.
 
-    `support` (H, W) marks pixels allowed to contribute.  Taps outside the
-    image or outside the support get zero weight and the rest are
-    renormalized.  Returns (sampled, ok): sampled is (C, N), and ok is
-    False where no tap had weight (sampled is 0 there).  Each tap gathers
-    every plane with one `np.take` along the pixel axis.
+    The (C, H + 1, W + 1) planes hold an H x W image plus one extra last
+    row and column of 0, and `support` (H + 1, W + 1) marks the pixels
+    allowed to contribute (False in the pad).  Every point must lie in
+    frame, 0 <= u <= W - 1 and 0 <= v <= H - 1; any other coordinate, NaN
+    included, is a ValueError.  The taps of a point are then the pixel at
+    (floor v, floor u) and its right, lower and lower-right neighbours; one
+    past the last column or row is in the pad, where its weight is 0.
+    Taps off the support get zero weight and the rest are renormalized.
+    Returns (sampled, ok): sampled is (C, N), and ok is False where no tap
+    had weight (sampled is 0 there).  Each tap gathers every plane with one
+    `np.take` along the pixel axis.
     """
     vals = np.asarray(planes, dtype=np.float64)
     sup = np.asarray(support, dtype=bool)
     if vals.ndim != 3 or vals.shape[1:] != sup.shape:
         raise ValueError(f"planes {vals.shape} are not (C, *{sup.shape})")
-    h, w = sup.shape
-    vals = vals.reshape(len(vals), h * w)
-    sup = sup.ravel()
+    h, w = sup.shape  # the frame is (h - 1, w - 1)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    # min and max propagate NaN, which then fails both comparisons
+    if len(u) and not (u.min() >= 0 and u.max() <= w - 2
+                       and v.min() >= 0 and v.max() <= h - 2):
+        raise ValueError(f"points outside the {w - 1}x{h - 1} frame")
+    vals = vals.reshape(len(vals), h * w)
+    sup = sup.ravel()
 
-    x0 = np.floor(u).astype(np.int64)
-    y0 = np.floor(v).astype(np.int64)
+    x0 = u.astype(np.int64)  # the floor, as u >= 0
+    y0 = v.astype(np.int64)
     fx = u - x0
     fy = v - y0
     gx = 1 - fx
     gy = 1 - fy
-    # per axis and tap offset: the clamped index and whether it is in range
-    cols = [(np.clip(x0 + d, 0, w - 1), (x0 + d >= 0) & (x0 + d < w))
-            for d in (0, 1)]
-    rows = [(np.clip(y0 + d, 0, h - 1) * w, (y0 + d >= 0) & (y0 + d < h))
-            for d in (0, 1)]
+    i00 = y0 * w + x0
 
     out = np.zeros((len(vals), len(u)))
     wsum = np.zeros(len(u))
-    for dy, dx, weight in ((0, 0, gx * gy), (0, 1, fx * gy),
-                           (1, 0, gx * fy), (1, 1, fx * fy)):
-        (row, row_in), (col, col_in) = rows[dy], cols[dx]
-        idx = row + col
-        weight *= row_in & col_in & sup[idx]
+    for offset, weight in ((0, gx * gy), (1, fx * gy),
+                           (w, gx * fy), (w + 1, fx * fy)):
+        idx = i00 + offset
+        weight *= sup[idx]
         block = np.take(vals, idx, axis=1)
         block *= weight
         out += block
@@ -149,10 +168,13 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
     vis_count = np.zeros(len(alive_ids), dtype=np.int64)
-    planes = np.empty((5, h, w))  # depth, RGB, confidence
+    # depth, RGB and confidence of one view, and where its depth is valid,
+    # each padded with a last row and column of 0 for `bilinear_sample`
+    planes = np.zeros((5, h + 1, w + 1))
+    support = np.zeros((h + 1, w + 1), dtype=bool)
     rgb = bundle.images.reshape(-1, 3)  # one row per pixel of every frame
 
-    def score_block(camera, support, start):
+    def score_block(camera, start):
         # adds into the sums of alive points [start, start + _BLOCK) only
         block = alive_ids[start:start + _BLOCK]
         uv, z = geometry.project_points(
@@ -181,13 +203,13 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
           else contextlib.nullcontext()) as pool:
         run = map if pool is None else pool.map
         for view, camera in enumerate(bundle.cameras):
-            planes[0] = bundle.depths[view]
-            planes[1:4] = np.moveaxis(bundle.images[view], -1, 0)
-            planes[4] = confidences[view]
-            support = bundle.depths[view] > 0
+            planes[0, :h, :w] = bundle.depths[view]
+            planes[1:4, :h, :w] = np.moveaxis(bundle.images[view], -1, 0)
+            planes[4, :h, :w] = confidences[view]
+            np.greater(bundle.depths[view], 0, out=support[:h, :w])
             # every block of this view ends before the next view's planes
             # overwrite these, so each point adds its views in index order
-            list(run(functools.partial(score_block, camera, support), starts))
+            list(run(functools.partial(score_block, camera), starts))
 
     # a point no view sees keeps its weighted sum of 0 as its score
     np.divide(weighted_res, weight_sum, out=weighted_res,
@@ -202,13 +224,24 @@ def close_masks(masks: np.ndarray) -> np.ndarray:
 
     Each frame is padded with one ring of background first so the closing
     behaves as if computed on an infinite plane: blobs touching the image
-    edge are neither eaten nor artificially extended to the border.  The
-    (1, 3, 3) structure closes the whole stack at once, frame by frame.
+    edge are neither eaten nor artificially extended to the border.  Each
+    3x3 pass is a pass along the rows and then along the columns of the
+    whole stack, and no pass crosses from one frame into the next.
     """
-    structure = np.ones((1, 3, 3), dtype=bool)
-    padded = np.pad(np.asarray(masks, dtype=bool), ((0, 0), (1, 1), (1, 1)))
-    grown = ndimage.binary_dilation(padded, structure=structure)
-    closed = ndimage.binary_erosion(grown, structure=structure)
+    masks = np.asarray(masks, dtype=bool)
+    frames, h, w = masks.shape
+    closed = np.zeros((frames, h + 2, w + 2), dtype=bool)
+    closed[:, 1:-1, 1:-1] = masks
+    for combine in (operator.ior, operator.iand):  # dilate, erode
+        for axis in (2, 1):
+            lead = (slice(None),) * axis
+            head, tail = lead + (slice(1, None),), lead + (slice(None, -1),)
+            # each pixel takes its neighbours on both sides along the axis;
+            # the ring's outer neighbours are left out: background for the
+            # dilation, and never read by the frame's erosion
+            before = closed.copy()
+            combine(closed[head], before[tail])
+            combine(closed[tail], before[head])
     return np.ascontiguousarray(closed[:, 1:-1, 1:-1])
 
 

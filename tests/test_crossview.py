@@ -2,10 +2,12 @@
 
 `score_cloud` is checked against a scalar oracle kept here: one point, one
 view at a time, with depth, color and confidence each sampled by its own
-`bilinear_sample` call.  The plane-major sampler and scorer are also
-checked for bit-identity against the pixel-major versions they replaced,
-kept here as references, and the scorer at every block size and worker
-count.
+`bilinear_sample` call.  The padded plane-major sampler and the scorer are
+also checked for bit-identity against the pixel-major versions they
+replaced, which clamp taps at any coordinate and are kept here as
+references, and the scorer at every block size and worker count.  The
+shifted-boolean closing is checked against the `scipy.ndimage` closing of
+each frame.
 """
 
 import sys
@@ -40,6 +42,14 @@ class ProjectionRecord:
     visible: bool
 
 
+def _padded(planes, support):
+    """(C, H, W) planes and their (H, W) support as `bilinear_sample` takes
+    them: with an extra last row and column of 0 and False."""
+    return (np.pad(np.asarray(planes, dtype=np.float64),
+                   ((0, 0), (0, 1), (0, 1))),
+            np.pad(np.asarray(support, dtype=bool), ((0, 1), (0, 1))))
+
+
 def gather_projections(position, color, bundle, confidences, point_id=0,
                        occlusion_tol=crossview.DEFAULT_OCCLUSION_TOL):
     """Project one point into every view and sample what each view saw there.
@@ -58,12 +68,15 @@ def gather_projections(position, color, bundle, confidences, point_id=0,
         depth_s, color_s, conf_s, ok = 0.0, np.zeros(3), 0.0, False
         if z > 1e-9 and 0 <= u <= w - 1 and 0 <= v <= h - 1:
             support = bundle.depths[view] > 0
-            d, d_ok = bilinear_sample(bundle.depths[view][None], support,
-                                      uv[:, 0], uv[:, 1])
-            c, _ = bilinear_sample(np.moveaxis(bundle.images[view], -1, 0),
-                                   support, uv[:, 0], uv[:, 1])
-            cf, _ = bilinear_sample(confidences[view][None], support,
-                                    uv[:, 0], uv[:, 1])
+            d, d_ok = bilinear_sample(
+                *_padded(bundle.depths[view][None], support),
+                uv[:, 0], uv[:, 1])
+            c, _ = bilinear_sample(
+                *_padded(np.moveaxis(bundle.images[view], -1, 0), support),
+                uv[:, 0], uv[:, 1])
+            cf, _ = bilinear_sample(
+                *_padded(confidences[view][None], support),
+                uv[:, 0], uv[:, 1])
             depth_s, color_s, conf_s, ok = (float(d[0, 0]), c[:, 0],
                                             float(cf[0, 0]), bool(d_ok[0]))
         records.append(ProjectionRecord(
@@ -94,10 +107,11 @@ def dynamic_score(records, lam=crossview.DEFAULT_LAMBDA):
 
 
 def reference_bilinear_sample(values, support, u, v):
-    """Pixel-major bilinear sampling: an (N, C) gather per tap.
+    """Pixel-major bilinear sampling at any (u, v): an (N, C) gather per tap.
 
-    The taps are summed in the order 00, 01, 10, 11 with weight
-    wt * inside * support, then renormalized where any weight landed.
+    Each tap index is clamped into the (H, W) image, and the taps are
+    summed in the order 00, 01, 10, 11 with weight wt * inside * support,
+    then renormalized where any weight landed.
     """
     vals = np.asarray(values, dtype=np.float64)
     sup = np.asarray(support, dtype=bool)
@@ -214,7 +228,7 @@ class TestBilinearSample:
     def test_integer_position_exact(self):
         vals = np.arange(12, dtype=float).reshape(3, 4)
         sup = np.ones((3, 4), bool)
-        out, ok = bilinear_sample(vals[None], sup, np.array([2.0]),
+        out, ok = bilinear_sample(*_padded(vals[None], sup), np.array([2.0]),
                                   np.array([1.0]))
         assert ok[0]
         assert out[0, 0] == pytest.approx(vals[1, 2])
@@ -222,14 +236,14 @@ class TestBilinearSample:
     def test_midpoint_average(self):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])
         sup = np.ones((2, 2), bool)
-        out, _ = bilinear_sample(vals[None], sup, np.array([0.5]),
+        out, _ = bilinear_sample(*_padded(vals[None], sup), np.array([0.5]),
                                  np.array([0.5]))
         assert out[0, 0] == pytest.approx(1.5)
 
     def test_support_renormalization(self):
         vals = np.array([[1.0, 5.0], [1.0, 5.0]])
         sup = np.array([[True, False], [True, False]])
-        out, ok = bilinear_sample(vals[None], sup, np.array([0.5]),
+        out, ok = bilinear_sample(*_padded(vals[None], sup), np.array([0.5]),
                                   np.array([0.5]))
         assert ok[0]
         assert out[0, 0] == pytest.approx(1.0)  # only the left column contributes
@@ -237,7 +251,7 @@ class TestBilinearSample:
     def test_no_support(self):
         vals = np.ones((2, 2))
         sup = np.zeros((2, 2), bool)
-        out, ok = bilinear_sample(vals[None], sup, np.array([0.5]),
+        out, ok = bilinear_sample(*_padded(vals[None], sup), np.array([0.5]),
                                   np.array([0.5]))
         assert not ok[0]
         assert out[0, 0] == 0.0
@@ -245,7 +259,7 @@ class TestBilinearSample:
     def test_edge_pixel(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]])
         sup = np.ones((2, 2), bool)
-        out, ok = bilinear_sample(vals[None], sup, np.array([1.0]),
+        out, ok = bilinear_sample(*_padded(vals[None], sup), np.array([1.0]),
                                   np.array([1.0]))
         assert ok[0]
         assert out[0, 0] == pytest.approx(4.0)
@@ -254,7 +268,7 @@ class TestBilinearSample:
         vals = np.zeros((2, 2, 3))
         vals[..., 1] = 2.0
         sup = np.ones((2, 2), bool)
-        out, _ = bilinear_sample(np.moveaxis(vals, -1, 0), sup,
+        out, _ = bilinear_sample(*_padded(np.moveaxis(vals, -1, 0), sup),
                                  np.array([0.5]), np.array([0.5]))
         np.testing.assert_allclose(out[:, 0], [0.0, 2.0, 0.0])
 
@@ -266,6 +280,22 @@ class TestBilinearSample:
             bilinear_sample(np.zeros(shape), np.ones((2, 3), bool),
                             np.array([0.5]), np.array([0.5]))
 
+    @pytest.mark.parametrize("u, v", [
+        (-0.25, 1.0), (np.nextafter(-0.0, -1.0), 1.0),
+        (np.nextafter(3.0, 4.0), 1.0), (1.0, -0.25),
+        (1.0, np.nextafter(2.0, 3.0)), (np.nan, 1.0), (1.0, np.nan),
+    ], ids=["u<0", "u=-tiny", "u>W-1", "v<0", "v>H-1", "u=nan", "v=nan"])
+    def test_rejects_points_out_of_frame(self, u, v):
+        # one point off the 4x3 frame among points on its corners and
+        # edges refuses the whole call
+        planes, sup = _padded(np.ones((2, 3, 4)), np.ones((3, 4), bool))
+        us = np.array([0.0, 3.0, 0.0, 3.0, 1.5, u])
+        vs = np.array([0.0, 0.0, 2.0, 2.0, 1.5, v])
+        out, ok = bilinear_sample(planes, sup, us[:-1], vs[:-1])
+        assert ok.all() and (out == 1.0).all()
+        with pytest.raises(ValueError, match="outside the 4x3 frame"):
+            bilinear_sample(planes, sup, us, vs)
+
     @pytest.mark.parametrize("channels", [None, 5])
     def test_matches_reference_exactly(self, channels):
         gen = np.random.default_rng(7)
@@ -274,14 +304,14 @@ class TestBilinearSample:
         vals = gen.normal(size=shape) * 10.0 ** gen.integers(-3, 4, shape)
         sup = gen.random((h, w)) > 0.3
         sup[2:5, 3:6] = False  # a hole wider than one tap footprint
-        u = gen.uniform(-1.5, w + 0.5, 400)
-        v = gen.uniform(-1.5, h + 0.5, 400)
+        u = gen.uniform(0, w - 1, 400)
+        v = gen.uniform(0, h - 1, 400)
         u[:40], v[:40] = gen.integers(0, w, 40), gen.integers(0, h, 40)
         u[40:60], v[60:80] = w - 1, h - 1  # last column, last row
         u[80], v[80] = w - 1, h - 1
         u[81:90], v[81:90] = gen.uniform(3, 5, 9), gen.uniform(2, 4, 9)
         planes = vals[None] if channels is None else np.moveaxis(vals, -1, 0)
-        got, got_ok = bilinear_sample(planes, sup, u, v)
+        got, got_ok = bilinear_sample(*_padded(planes, sup), u, v)
         want, want_ok = reference_bilinear_sample(vals, sup, u, v)
         want = want.reshape(len(u), -1).T  # (N,) or (N, C) -> (C, N)
         assert got.shape == want.shape
@@ -444,7 +474,7 @@ class TestScoreCloud:
 
         monkeypatch.setattr(crossview, "bilinear_sample", counting_sample)
         score_cloud(cloud, bundle, conf)
-        assert calls == [(5, 10, 14)] * bundle.frames
+        assert calls == [(5, 11, 15)] * bundle.frames
 
     def test_matches_scalar_path(self):
         gen = np.random.default_rng(42)
@@ -496,7 +526,7 @@ class TestScoreCloud:
         assert calls == [call for view in range(bundle.frames)
                          for n in (100, 100, 100, 100, 20)
                          for call in (("project", view, n),
-                                      ("sample", (5, 10, 14)))]
+                                      ("sample", (5, 11, 15)))]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_views_in_order_across_workers(self, workers, monkeypatch):
@@ -515,7 +545,7 @@ class TestScoreCloud:
                             if call[:2] == ("project", view))
                        for view in range(1, bundle.frames)] + [len(calls)]
         want = Counter([("project", n) for n in (100, 100, 100, 100, 20)]
-                       + [("sample", (5, 10, 14))] * 5)
+                       + [("sample", (5, 11, 15))] * 5)
         for view in range(bundle.frames):
             got = calls[edges[view]:edges[view + 1]]
             assert Counter((c[0], c[-1]) for c in got) == want
@@ -711,6 +741,28 @@ class TestCloseMasks:
     def test_empty_stays_empty(self):
         m = np.zeros((2, 5, 5), bool)
         assert not close_masks(m).any()
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (7, 1), (2, 2)])
+    def test_small_frames_match_per_frame_closing(self, h, w):
+        # every pattern of a 1x1 or 2x2 frame, one per frame; random strips
+        # one pixel wide or high, where both passes of an axis meet the ring
+        if h * w <= 4:
+            bits = np.arange(2 ** (h * w))[:, None] >> np.arange(h * w) & 1
+            m = bits.astype(bool).reshape(-1, h, w)
+        else:
+            m = np.random.default_rng(h + w).random((12, h, w)) > 0.5
+        out = close_masks(m)
+        np.testing.assert_array_equal(out, _close_masks_per_frame(m))
+        assert out.dtype == bool and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("frames, fill",
+                             [(3, True), (3, False), (0, False)],
+                             ids=["all-true", "all-false", "zero-frames"])
+    def test_uniform_stacks_match_per_frame_closing(self, frames, fill):
+        m = np.full((frames, 6, 8), fill)
+        out = close_masks(m)
+        np.testing.assert_array_equal(out, _close_masks_per_frame(m))
+        assert out.shape == m.shape and out.dtype == bool
 
 
 class TestRefineMasks:
