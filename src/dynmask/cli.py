@@ -21,8 +21,8 @@ from .evaluation import MetricReport
 from .geometry import epipolar_residual_batch, essential_from_poses, \
     project_dynamic_world_batch
 from .pipeline import PipelineConfig, run
-from .tensor_io import (SceneBundle, SceneFormatError, load_scene, read_pgm,
-                        write_json, write_pgm, write_tensor)
+from .tensor_io import (SceneFormatError, _read_header, load_scene, read_pgm,
+                        read_stack, write_json, write_pgm, write_tensor)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,15 +149,17 @@ def _extra_masks(pred_dir: Path, frames: int) -> list[Path]:
     return sorted(p for p in pred_dir.glob("mask_*.pgm") if p.name not in names)
 
 
-def _load_pred_masks(pred_dir: Path, bundle: SceneBundle) -> np.ndarray:
-    hw = (bundle.height, bundle.width)
-    names = [MASK_NAME.format(f) for f in range(bundle.frames)]
+def _load_pred_masks(pred_dir: Path, shape: tuple[int, int, int]
+                     ) -> np.ndarray:
+    """The prediction masks of a scene of (T, H, W) `shape`, as bools."""
+    frames, hw = shape[0], shape[1:]
+    names = [MASK_NAME.format(f) for f in range(frames)]
     # a prediction made for a longer scene must not be scored silently
-    extra = _extra_masks(pred_dir, bundle.frames)
+    extra = _extra_masks(pred_dir, frames)
     if extra:
         raise SceneFormatError(
             f"unexpected prediction mask {extra[0]}: the scene has "
-            f"{bundle.frames} frames ({names[0]} to {names[-1]})")
+            f"{frames} frames ({names[0]} to {names[-1]})")
     masks = []
     for name in names:
         path = pred_dir / name
@@ -172,27 +174,32 @@ def _load_pred_masks(pred_dir: Path, bundle: SceneBundle) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    pred_dir = Path(args.pred)
-    bundle = load_scene(args.scene)
-    pred_masks = _load_pred_masks(pred_dir, bundle)
+    # eval scores against the ground truth only: scene.json's header and
+    # gt masks and gt.json's stacks; the input tensors are never opened
+    pred_dir, scene = Path(args.pred), Path(args.scene)
+    header = _read_header(scene)
+    shape = (header.frames, header.height, header.width)
+    gt_masks = (read_stack(scene, header.manifest, "gt_masks", shape[0],
+                           shape[1:], ext="pgm")
+                if "gt_masks" in header.manifest else None)
+    pred_masks = _load_pred_masks(pred_dir, shape)
 
-    report = (MetricReport() if bundle.gt_masks is None
-              else evaluation.evaluate_masks(pred_masks, bundle.gt_masks))
+    report = (MetricReport() if gt_masks is None
+              else evaluation.evaluate_masks(pred_masks, gt_masks))
 
     cloud_path = pred_dir / "cloud.ply"
-    gt_path = Path(args.scene) / "gt.json"
-    if (cloud_path.exists() and gt_path.exists()
-            and bundle.gt_masks is not None):
+    if (cloud_path.exists() and (scene / "gt.json").exists()
+            and gt_masks is not None):
         positions, _, alive = purification.read_ply(cloud_path)
         pred_points = positions[alive]
-        gt = synthetic.load_ground_truth(args.scene, bundle)
+        gt = synthetic.load_ground_truth(scene, shape)
         # the reference surface is the true dynamic geometry: ground-truth
         # silhouettes lifted with noise-free depth
-        gt_cloud = purification.unproject_mask(
-            replace(bundle, depths=gt.true_depths), bundle.gt_masks)
-        if len(pred_points) and len(gt_cloud):
+        *_, gt_points = purification._lift(gt.true_depths, header.cameras,
+                                           gt_masks)
+        if len(pred_points) and len(gt_points):
             report = replace(report, **evaluation.cloud_metrics(
-                pred_points, gt_cloud.positions))
+                pred_points, gt_points))
 
     out_path = Path(args.out) if args.out else pred_dir / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -210,18 +217,18 @@ def _stat(reduce, values) -> float | None:
 
 def cmd_residuals(args) -> int:
     scene = Path(args.scene)
-    bundle = load_scene(scene)
+    header = _read_header(scene)
     if not (scene / "gt.json").exists():
         raise SceneFormatError(f"{scene}: residuals need ground truth "
                                "(gt.json)")
-    gt = synthetic.load_ground_truth(scene, bundle)
+    h, w = header.height, header.width
+    gt = synthetic.load_ground_truth(scene, (header.frames, h, w))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    h, w = bundle.height, bundle.width
     pairs = []
-    for f in range(bundle.frames - 1):
-        ref_cam, tgt_cam = bundle.cameras[f], bundle.cameras[f + 1]
+    for f in range(header.frames - 1):
+        ref_cam, tgt_cam = header.cameras[f], header.cameras[f + 1]
         try:
             ess = essential_from_poses(ref_cam, tgt_cam)
         except ValueError as exc:

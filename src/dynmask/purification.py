@@ -80,6 +80,27 @@ def radius_neighbors(cloud: DynamicPointCloud, index: cKDTree,
     return int(counts) if np.ndim(i) == 0 else counts
 
 
+def _lift(depths: np.ndarray, cameras, masks: np.ndarray):
+    """Flat ids, (frame, row, col) and world positions of the masked
+    pixels with depth.
+
+    `depths` and `masks` are (T, H, W), `cameras` one per frame; pixels
+    with depth 0 are skipped, and points come in pixel-id order:
+    frame-major, then row-major.
+    """
+    ids = np.flatnonzero(np.asarray(masks, dtype=bool) & (depths > 0))
+    frames, rows, cols = np.unravel_index(ids, depths.shape)
+    values = depths.reshape(-1)[ids].astype(np.float64)
+    positions = np.empty((len(ids), 3))
+    # the ids are frame-major, so each frame's points are one slice
+    bounds = np.searchsorted(frames, np.arange(len(cameras) + 1))
+    for f, camera in enumerate(cameras):
+        at = slice(bounds[f], bounds[f + 1])
+        uv = np.column_stack([cols[at], rows[at]]).astype(np.float64)
+        positions[at] = unproject_pixels(uv, values[at], camera)
+    return ids, (frames, rows, cols), positions
+
+
 def unproject_mask(bundle: SceneBundle, masks: np.ndarray,
                    saliencies: np.ndarray | None = None) -> DynamicPointCloud:
     """Lift every masked pixel with valid depth into a world-space point.
@@ -90,16 +111,8 @@ def unproject_mask(bundle: SceneBundle, masks: np.ndarray,
     silently skipped.  Points come in pixel-id order: frame-major, then
     row-major.
     """
-    ids = np.flatnonzero(np.asarray(masks, dtype=bool) & (bundle.depths > 0))
-    frames, rows, cols = np.unravel_index(ids, bundle.depths.shape)
-    depths = bundle.depths.reshape(-1)[ids].astype(np.float64)
-    positions = np.empty((len(ids), 3))
-    # the ids are frame-major, so each frame's points are one slice
-    bounds = np.searchsorted(frames, np.arange(bundle.frames + 1))
-    for f, camera in enumerate(bundle.cameras):
-        at = slice(bounds[f], bounds[f + 1])
-        uv = np.column_stack([cols[at], rows[at]]).astype(np.float64)
-        positions[at] = unproject_pixels(uv, depths[at], camera)
+    ids, (frames, rows, cols), positions = _lift(bundle.depths,
+                                                 bundle.cameras, masks)
     sal = (np.ones(len(ids)) if saliencies is None else np.asarray(
         saliencies[frames, rows // bundle.patch, cols // bundle.patch],
         dtype=np.float64))

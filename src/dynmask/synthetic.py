@@ -436,19 +436,19 @@ def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:
     }, out / "gt.json")
 
 
-def load_ground_truth(scene_dir, bundle: SceneBundle) -> GroundTruth:
-    """Reload the ground truth saved next to a scene bundle.
+def load_ground_truth(scene_dir, shape: tuple[int, int, int]) -> GroundTruth:
+    """Reload the ground truth saved next to a scene as ``gt.json``.
 
-    Both stacks must match the bundle's (T, H, W), true depths must be
-    finite and >= 0, instance ids whole numbers in [-1, movers), and the
-    mover positions (movers, T, 3); anything else raises SceneFormatError.
+    `shape` is the scene's (T, H, W), from its scene.json; nothing else
+    of the scene is read.  Both stacks must have that shape, true depths
+    must be finite and >= 0, instance ids whole numbers in [-1, movers),
+    and the mover positions (movers, T, 3); anything else raises
+    SceneFormatError.
     """
-    if bundle.gt_masks is None:
-        raise SceneFormatError("bundle carries no ground-truth masks")
     root = Path(scene_dir)
     manifest = read_manifest(root / "gt.json")
-    t, hw = bundle.frames, (bundle.height, bundle.width)
-    true_depths, instances = (read_stack(root, manifest, key, t, hw)
+    t, h, w = shape
+    true_depths, instances = (read_stack(root, manifest, key, t, (h, w))
                               for key in ("true_depths", "instances"))
     movers = manifest.get("movers")
     if not isinstance(movers, list):

@@ -420,28 +420,63 @@ def save_scene(bundle: SceneBundle, out_dir: str | Path) -> None:
     write_json(manifest, out / "scene.json")
 
 
+@dataclass
+class _SceneHeader:
+    """What scene.json says about a scene, before any tensor is read."""
+
+    manifest: dict
+    frames: int
+    height: int
+    width: int
+    heads: int
+    patch: int
+    cameras: list[CameraModel]
+
+
+def _read_header(root: Path) -> _SceneHeader:
+    """Parse `root`'s scene.json: its five counts and one camera per frame.
+
+    This is the one scene.json parser; :func:`load_scene` calls it, and
+    so do the commands that read no input tensor (``eval`` and
+    ``residuals``).  Each count must be a whole number >= 1 and each
+    camera pass the JSON value rule; anything else raises
+    SceneFormatError.  The tensor stacks the manifest lists are neither
+    opened nor checked here.
+    """
+    manifest = read_manifest(root / "scene.json")
+    counts = (_manifest_count(manifest, key)
+              for key in ("frames", "height", "width", "heads", "patch"))
+    header = _SceneHeader(manifest, *counts,
+                          cameras=_cameras_from_json(manifest))
+    if len(header.cameras) != header.frames:
+        raise SceneFormatError(
+            f"{len(header.cameras)} cameras for {header.frames} frames")
+    return header
+
+
 def load_scene(scene_dir: str | Path) -> SceneBundle:
     """Load and fully validate a scene bundle from a directory.
 
+    Reads the header (:func:`_read_header`), every tensor stack and the
+    optional ground-truth masks, then checks the bundle with
+    :func:`validate_bundle` and its extents against the header's.
     Manifest keys the loader does not read are ignored, so directories
     written with keys that later versions dropped still load.
     """
     root = Path(scene_dir)
-    manifest = read_manifest(root / "scene.json")
-    t, height, width, heads, patch = (
-        _manifest_count(manifest, key)
-        for key in ("frames", "height", "width", "heads", "patch"))
+    header = _read_header(root)
+    t, manifest = header.frames, header.manifest
     stacks = {field: read_stack(root, manifest, key, t)
               for field, key, _ in _SCENE_STACKS}
     bundle = SceneBundle(
-        **stacks, cameras=_cameras_from_json(manifest),
-        patch=patch,
+        **stacks, cameras=header.cameras, patch=header.patch,
         gt_masks=read_stack(root, manifest, "gt_masks", t, ext="pgm")
         if "gt_masks" in manifest else None)
     validate_bundle(bundle)
-    if (bundle.height, bundle.width, bundle.heads) != (height, width, heads):
+    expect = (header.height, header.width, header.heads)
+    if (bundle.height, bundle.width, bundle.heads) != expect:
         raise SceneFormatError(
-            f"manifest height, width, heads {(height, width, heads)} != "
+            f"manifest height, width, heads {expect} != "
             f"tensors' {(bundle.height, bundle.width, bundle.heads)}")
     return bundle
 

@@ -8,11 +8,12 @@ direct library calls on the same scene.
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynmask import cli, evaluation
+from dynmask import cli, evaluation, tensor_io
 from dynmask.cli import main
 from dynmask.pipeline import PipelineConfig, run
 from dynmask.synthetic import SceneSpec, _sigma_map
@@ -49,6 +50,38 @@ def _digest_dir(root):
             out[str(p.relative_to(root))] = hashlib.sha256(
                 p.read_bytes()).hexdigest()
     return out
+
+
+# the input tensors of a scene, which only `dynmask mask` reads
+INPUT_PREFIXES = ("img_", "depth_", "conf_", "attn_")
+
+
+def _scene_argv(command, scene, pred_dir, out):
+    """argv that runs `command` on `scene`, writing under `out`."""
+    if command == "eval":
+        return ["eval", str(pred_dir), str(scene),
+                "--out", str(out / "report.json")]
+    return [command, str(scene), "--out", str(out)]
+
+
+def _per_command(cases, ids):
+    """pytest params running each case under every command that reads
+    scene.json; mask's cases keep their plain ids."""
+    return [pytest.param(command, *case,
+                         id=case_id if command == "mask"
+                         else f"{command}-{case_id}")
+            for command in ("mask", "eval", "residuals")
+            for case, case_id in zip(cases, ids)]
+
+
+def _eval_and_residuals(scene, pred_dir, out):
+    """Every file `dynmask eval` and `dynmask residuals` write for `scene`,
+    by path under `out`."""
+    assert main(["eval", str(pred_dir), str(scene),
+                 "--out", str(out / "report.json")]) == 0
+    assert main(["residuals", str(scene), "--out", str(out / "res")]) == 0
+    return {p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -283,21 +316,24 @@ class TestMask:
         assert "error: MemoryError" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["R", "fx"])
-    def test_camera_missing_field(self, tmp_path, scene_dir, capsys, field):
+    @pytest.mark.parametrize("command, field",
+                             _per_command([("R",), ("fx",)], ["R", "fx"]))
+    def test_camera_missing_field(self, tmp_path, scene_dir, pred_dir, capsys,
+                                  command, field):
         bad = tmp_path / "bad"
         shutil.copytree(scene_dir, bad)
         manifest = json.loads((bad / "scene.json").read_text())
         del manifest["cameras"][1][field]
         (bad / "scene.json").write_text(json.dumps(manifest))
-        assert main(["mask", str(bad), "--out", str(tmp_path / "out")]) == 2
-        assert "dynmask mask: error: camera missing" in capsys.readouterr().err
+        assert main(_scene_argv(command, bad, pred_dir, tmp_path / "out")) == 2
+        assert (f"dynmask {command}: error: camera missing"
+                in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("key, value", [
-        ("frames", 10 ** 400), ("fx", True), ("fx", "38.4"),
-    ], ids=["huge-frames", "fx-bool", "fx-string"])
-    def test_mistyped_manifest_value(self, tmp_path, scene_dir, capsys, key,
-                                     value):
+    @pytest.mark.parametrize("command, key, value", _per_command(
+        [("frames", 10 ** 400), ("fx", True), ("fx", "38.4")],
+        ["huge-frames", "fx-bool", "fx-string"]))
+    def test_mistyped_manifest_value(self, tmp_path, scene_dir, pred_dir,
+                                     capsys, command, key, value):
         # a bool or string focal length used to load; a 400-digit frame
         # count used to end in an OverflowError traceback
         bad = tmp_path / "bad"
@@ -306,7 +342,7 @@ class TestMask:
         (manifest["cameras"][0] if key == "fx" else manifest)[key] = value
         (bad / "scene.json").write_text(json.dumps(manifest))
         out = tmp_path / "out"
-        assert main(["mask", str(bad), "--out", str(out)]) == 2
+        assert main(_scene_argv(command, bad, pred_dir, out)) == 2
         assert f"{key} " in capsys.readouterr().err
         assert not out.exists()
 
@@ -389,6 +425,16 @@ class TestEval:
         assert main(["eval", str(broken), str(scene_dir)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_wrong_size_gt_mask_named(self, tmp_path, scene_dir, pred_dir,
+                                      capsys):
+        broken = tmp_path / "scene"
+        shutil.copytree(scene_dir, broken)
+        write_pgm(np.zeros((8, 8), dtype=bool), broken / "gt_mask_0001.pgm")
+        assert main(["eval", str(pred_dir), str(broken),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        assert "gt_mask_0001.pgm" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_null_fields_without_ground_truth(self, tmp_path, scene_dir,
                                               pred_dir):
         bare = tmp_path / "bare"
@@ -449,17 +495,50 @@ def test_old_layout_scene_gives_identical_outputs(tmp_path, scene_dir,
         np.stack([_sigma_map(spec, f) for f in range(spec.frames)]), old,
         "gt_sigma")
     (old / "gt.json").write_text(json.dumps(gt))
-    outputs = {}
-    for root in (scene_dir, old):
-        out = tmp_path / f"out-{root.name}"
-        assert main(["eval", str(pred_dir), str(root),
-                     "--out", str(out / "report.json")]) == 0
-        assert main(["residuals", str(root), "--out", str(out / "res")]) == 0
-        outputs[root] = {p.relative_to(out): p.read_bytes()
-                         for p in out.rglob("*") if p.is_file()}
+    outputs = {root: _eval_and_residuals(root, pred_dir,
+                                         tmp_path / f"out-{root.name}")
+               for root in (scene_dir, old)}
     capsys.readouterr()
     assert len(outputs[old]) == 2 + SPEC["frames"] - 1
     assert outputs[old] == outputs[scene_dir]
+
+
+def test_eval_and_residuals_need_no_input_tensors(tmp_path, scene_dir,
+                                                  pred_dir, capsys):
+    # eval and residuals score against the ground truth only, so a scene
+    # without its images, depths, confidences and attentions gives the
+    # same bytes; mask still needs them
+    bare = tmp_path / "bare"
+    shutil.copytree(scene_dir, bare)
+    for path in bare.iterdir():
+        if path.name.startswith(INPUT_PREFIXES):
+            path.unlink()
+    outputs = {root: _eval_and_residuals(root, pred_dir,
+                                         tmp_path / f"out-{root.name}")
+               for root in (scene_dir, bare)}
+    assert len(outputs[bare]) == 2 + SPEC["frames"] - 1
+    assert outputs[bare] == outputs[scene_dir]
+    assert main(["mask", str(bare), "--out", str(tmp_path / "pred")]) == 2
+    assert "dynmask mask: error: missing images file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "residuals"])
+def test_no_input_tensor_opened(tmp_path, scene_dir, pred_dir, capsys,
+                                monkeypatch, command):
+    opened = []
+
+    def spy(path):
+        assert not Path(path).name.startswith(INPUT_PREFIXES), \
+            f"{command} opened the input tensor {path}"
+        opened.append(Path(path).name)
+        return read_tensor(path)
+
+    monkeypatch.setattr(tensor_io, "read_tensor", spy)
+    assert main(_scene_argv(command, scene_dir, pred_dir,
+                            tmp_path / "out")) == 0
+    capsys.readouterr()
+    # the spy saw the ground truth that gt.json lists
+    assert any(name.startswith("gt_depth_") for name in opened)
 
 
 class TestResiduals:
@@ -514,6 +593,21 @@ class TestResiduals:
                      "--out", str(tmp_path / "res")]) == 2
         err = capsys.readouterr().err
         assert "frames 0 and 1: baseline" in err
+
+    def test_needs_no_gt_masks(self, tmp_path, scene_dir, capsys):
+        # the maps come from gt.json alone; scene.json's gt masks are eval's
+        bare = tmp_path / "bare"
+        shutil.copytree(scene_dir, bare)
+        manifest = json.loads((bare / "scene.json").read_text())
+        for name in manifest.pop("gt_masks"):
+            (bare / name).unlink()
+        (bare / "scene.json").write_text(json.dumps(manifest))
+        for root in (scene_dir, bare):
+            assert main(["residuals", str(root),
+                         "--out", str(tmp_path / f"res-{root.name}")]) == 0
+        capsys.readouterr()
+        assert (_digest_dir(tmp_path / "res-bare")
+                == _digest_dir(tmp_path / f"res-{scene_dir.name}"))
 
     def test_requires_ground_truth(self, tmp_path, scene_dir, capsys):
         bare = tmp_path / "bare"

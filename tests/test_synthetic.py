@@ -435,7 +435,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(loaded.depths, bundle.depths)
         np.testing.assert_array_equal(loaded.attention, bundle.attention)
         np.testing.assert_array_equal(loaded.gt_masks, bundle.gt_masks)
-        gt2 = load_ground_truth(tmp_path, loaded)
+        gt2 = load_ground_truth(tmp_path, loaded.gt_masks.shape)
         np.testing.assert_array_equal(gt2.true_depths, gt.true_depths)
         np.testing.assert_array_equal(gt2.instances, gt.instances)
         np.testing.assert_array_equal(gt2.mover_positions, gt.mover_positions)
@@ -457,13 +457,7 @@ class TestGroundTruthChecks:
         GT_BREAKAGES[breakage](manifest, broken)
         (broken / "gt.json").write_text(json.dumps(manifest))
         with pytest.raises(SceneFormatError):
-            load_ground_truth(broken, load_scene(broken))
-
-    def test_bundle_without_ground_truth_rejected(self, scene):
-        bundle = load_scene(scene)
-        bundle.gt_masks = None
-        with pytest.raises(SceneFormatError, match="ground-truth"):
-            load_ground_truth(scene, bundle)
+            load_ground_truth(broken, load_scene(broken).gt_masks.shape)
 
 
 class TestCorrupt:
