@@ -49,13 +49,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import operator
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from . import geometry
+from . import geometry, purification
 from .purification import DynamicPointCloud, mask_from_cloud
 from .tensor_io import SceneBundle
 
@@ -66,12 +65,6 @@ DEFAULT_OCCLUSION_TOL = 0.05
 # alive points scored per projection and sampling call: bounds every
 # per-view temporary of `score_cloud`, whatever the size of the cloud
 _BLOCK = 1 << 14
-# threads that score one view's blocks at once: every CPU this process may
-# run on (`taskset` narrows it); a call with one block runs on its caller.
-# `evaluation.cloud_metrics` runs its nearest-neighbor queries on as many
-# threads
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 def activate_confidence(logits: np.ndarray) -> np.ndarray:
@@ -167,7 +160,8 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
     src_pixel = cloud.pixel_ids[alive_ids]
     weight_sum = np.zeros(len(alive_ids))
     weighted_res = np.zeros(len(alive_ids))
-    vis_count = np.zeros(len(alive_ids), dtype=np.int64)
+    # a view count never nears 2**31: half the bytes of the int64 result
+    vis_count = np.zeros(len(alive_ids), dtype=np.int32)
     # depth, RGB and confidence of one view, and where its depth is valid,
     # each padded with a last row and column of 0 for `bilinear_sample`
     planes = np.zeros((5, h + 1, w + 1))
@@ -198,7 +192,9 @@ def score_cloud(cloud: DynamicPointCloud, bundle: SceneBundle,
         vis_count[ids] += 1
 
     starts = range(0, len(alive_ids), _BLOCK)
-    workers = min(_WORKERS, len(starts))
+    # a thread per CPU, but no more than there are blocks: one block runs
+    # on the caller
+    workers = min(purification._WORKERS, len(starts))
     with (ThreadPoolExecutor(workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         run = map if pool is None else pool.map

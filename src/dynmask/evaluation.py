@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import crossview
+from . import purification
 
 DEFAULT_BOUNDARY_TOL = 0.008
 RECALL_THRESHOLD = 0.5
@@ -172,14 +172,14 @@ def cloud_metrics(pred: np.ndarray, gt: np.ndarray) -> dict:
 
     Nearest distances do not depend on a tree's shape, and trees built
     without median splits or node compaction build faster.  The queries
-    run on every CPU the process may use (`crossview._WORKERS`); each
+    run on every CPU the process may use (`purification._WORKERS`); each
     point's query is independent, so the distances do not depend on it.
     """
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("cloud metrics need non-empty point sets")
-    workers = crossview._WORKERS
+    workers = purification._WORKERS
     acc = cKDTree(gt, balanced_tree=False, compact_nodes=False).query(
         pred, workers=workers)[0]
     comp = cKDTree(pred, balanced_tree=False, compact_nodes=False).query(

@@ -16,10 +16,20 @@ which dwarfs the rounding in the cell keys (under 2**-31 cells while the
 grid spans at most 2**20 cells an axis), so no point just beyond r is
 counted.  A k-d tree counts the neighbours of the points left open.
 Memory stays linear in the number of points.
+
+Given a second CPU in the process's affinity (`taskset` narrows it), a pool
+thread builds the tree while the caller runs the grid, and the two then
+count contiguous halves of the open points.  Each count belongs to one
+point, so the verdicts are identical on any number of CPUs.  On one CPU
+the tree is built only when the grid leaves a point open.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +40,11 @@ from .tensor_io import SceneBundle, write_atomic
 
 DEFAULT_TAU = 16
 DEFAULT_R_FACTOR = 0.02
+# every CPU this process may run on (`taskset` narrows it): purification
+# uses two of them, and cross-view refinement and `evaluation.cloud_metrics`
+# as many threads as there are
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass
@@ -62,7 +77,10 @@ def build_index(cloud: DynamicPointCloud) -> cKDTree:
     and sliding-midpoint splits build in about half the time of median
     splits on an 870k-point lifted cloud.
     """
-    return cKDTree(cloud.positions[cloud.alive], balanced_tree=False)
+    # every point of a freshly lifted cloud is alive: no copy is needed
+    alive = cloud.alive
+    return cKDTree(cloud.positions if alive.all() else cloud.positions[alive],
+                   balanced_tree=False)
 
 
 def radius_neighbors(cloud: DynamicPointCloud, index: cKDTree,
@@ -126,7 +144,8 @@ def scene_diagonal(cloud: DynamicPointCloud) -> float:
     alive = cloud.positions[cloud.alive]
     if len(alive) == 0:
         return 0.0
-    span = alive.max(axis=0) - alive.min(axis=0)
+    # column by column: a reduction along axis 0 of (N, 3) loops 3 at a time
+    span = [column.max() - column.min() for column in alive.T]
     return float(np.linalg.norm(span))
 
 
@@ -151,19 +170,24 @@ def _outright_alive(positions: np.ndarray, r: float, tau: int) -> np.ndarray:
     to key (over 2**20 cells along an axis) decides nothing.
     """
     cell = r / 2
-    shifted = (positions - positions.min(axis=0)) / cell
-    top = shifted.max(axis=0)
-    if not top.max() < 2 ** 20:  # also catches NaN
-        return np.zeros(len(positions), dtype=bool)
-    # one empty layer of cells on every side keeps neighbour keys distinct
-    dims = top.astype(np.int64) + 3
+    lows = np.array([column.min() for column in positions.T])
+    # keys are built one axis at a time, so no (N, 3) temporary is made
+    dims, flat = [], np.zeros(len(positions), dtype=np.int64)
+    for column, low in zip(positions.T, lows):
+        shifted = (column - low) / cell
+        top = shifted.max()
+        if not top < 2 ** 20:  # also catches NaN
+            return np.zeros(len(positions), dtype=bool)
+        # one empty layer of cells on every side keeps neighbour keys distinct
+        dims.append(int(top) + 3)
+        flat *= dims[-1]
+        flat += np.floor(shifted).astype(np.int64) + 1
     strides = np.array([dims[1] * dims[2], dims[2], 1])
-    flat = (np.floor(shifted).astype(np.int64) + 1) @ strides
     cells, inverse, sizes = np.unique(flat, return_inverse=True,
                                       return_counts=True)
     bound = sizes[inverse]
     open_ = np.flatnonzero(bound <= tau)
-    frac = shifted[open_] % 1
+    frac = (positions[open_] - lows) / cell % 1
     # squared far-corner reach along one axis in cells, for offsets -1, 0, 1
     reach = np.stack([1 + frac, np.maximum(frac, 1 - frac), 2 - frac]) ** 2
     limit = 4 * (1 - _FAR_CORNER_MARGIN)  # r is 2 cells
@@ -202,18 +226,32 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
     if len(alive_ids) <= tau:
         # no point has tau others, so no grid or index is needed
         return replace(cloud, alive=alive)
-    positions = cloud.positions[alive_ids]
+    # a freshly lifted cloud is all alive: its positions need no copy
+    positions = (cloud.positions if len(alive_ids) == len(cloud)
+                 else cloud.positions[alive_ids])
     if r <= 0:
         # degenerate radius: only exactly co-located points count
         _, inverse, group_sizes = np.unique(
             positions, axis=0, return_inverse=True, return_counts=True)
         alive[alive_ids] = group_sizes[inverse] > tau
         return replace(cloud, alive=alive)
-    keep = _outright_alive(positions, r, tau)
-    rest = np.flatnonzero(~keep)
-    if len(rest):
-        keep[rest] = radius_neighbors(cloud, build_index(cloud),
-                                      alive_ids[rest], r) >= tau
+    with (ThreadPoolExecutor(1) if _WORKERS > 1
+          else contextlib.nullcontext()) as pool:
+        # the pool thread builds the tree while this one runs the grid
+        building = None if pool is None else pool.submit(build_index, cloud)
+        keep = _outright_alive(positions, r, tau)
+        rest = np.flatnonzero(~keep)
+        # read even when the grid decided every point, to raise its errors
+        index = None if pool is None else building.result()
+        if len(rest):
+            if index is None:
+                index = build_index(cloud)
+            count = functools.partial(radius_neighbors, cloud, index, r=r)
+            # one contiguous chunk a lane; this thread counts the first
+            chunks = np.array_split(alive_ids[rest], 1 if pool is None else 2)
+            later = [pool.submit(count, chunk) for chunk in chunks[1:]]
+            keep[rest] = np.concatenate(
+                [count(chunks[0])] + [f.result() for f in later]) >= tau
     alive[alive_ids] = keep
     return replace(cloud, alive=alive)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from dynmask import crossview, geometry, synthetic
+from dynmask import crossview, geometry, purification, synthetic
 from dynmask.crossview import (activate_confidence, bilinear_sample,
                                close_masks, refine_masks, score_cloud)
 from dynmask.geometry import CameraModel, project_points
@@ -521,7 +521,7 @@ class TestScoreCloud:
         cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
         calls = self._record_calls(bundle, monkeypatch)
         monkeypatch.setattr(crossview, "_BLOCK", 100)
-        monkeypatch.setattr(crossview, "_WORKERS", 1)
+        monkeypatch.setattr(purification, "_WORKERS", 1)
         score_cloud(cloud, bundle, conf)
         assert calls == [call for view in range(bundle.frames)
                          for n in (100, 100, 100, 100, 20)
@@ -537,7 +537,7 @@ class TestScoreCloud:
         cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
         calls = self._record_calls(bundle, monkeypatch)
         monkeypatch.setattr(crossview, "_BLOCK", 100)
-        monkeypatch.setattr(crossview, "_WORKERS", workers)
+        monkeypatch.setattr(purification, "_WORKERS", workers)
         score_cloud(cloud, bundle, conf)
         # each block samples right after it projects, so view v's calls are
         # those from its first projection up to view v + 1's first one
@@ -557,7 +557,7 @@ class TestScoreCloud:
         cloud, bundle, conf = _noisy_cloud(frames=3, width=32, height=24)
         want = reference_score_cloud(cloud, bundle, conf)
         monkeypatch.setattr(crossview, "_BLOCK", 7)
-        monkeypatch.setattr(crossview, "_WORKERS", 8)
+        monkeypatch.setattr(purification, "_WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -582,7 +582,7 @@ class TestScoreCloud:
         conf = activate_confidence(bundle.confidence_logits)
         cloud = unproject_mask(bundle, np.ones((3, 10, 14), bool))
         monkeypatch.setattr(crossview, "_BLOCK", 100)
-        monkeypatch.setattr(crossview, "_WORKERS", workers)
+        monkeypatch.setattr(purification, "_WORKERS", workers)
         monkeypatch.setattr(crossview, "ThreadPoolExecutor", RecordingPool)
         score_cloud(cloud, bundle, conf)
         assert sizes == want
@@ -593,7 +593,7 @@ class TestScoreCloud:
 
         cloud, bundle, conf = _noisy_cloud(frames=3, width=32, height=24)
         assert len(cloud) <= crossview._BLOCK
-        monkeypatch.setattr(crossview, "_WORKERS", 4)
+        monkeypatch.setattr(purification, "_WORKERS", 4)
         monkeypatch.setattr(crossview, "ThreadPoolExecutor", no_pool)
         want = reference_score_cloud(cloud, bundle, conf)
         for got_a, want_a in zip(score_cloud(cloud, bundle, conf), want):
@@ -619,7 +619,7 @@ class TestScoreCloud:
         monkeypatch.setattr(crossview, "_BLOCK",
                             len(cloud) if block == "all" else block)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(crossview, "_WORKERS", workers)
+            monkeypatch.setattr(purification, "_WORKERS", workers)
             got = score_cloud(cloud, bundle, conf)
             for got_a, one_a, want_a in zip(got, one_block, want):
                 np.testing.assert_array_equal(got_a, one_a)
@@ -629,7 +629,7 @@ class TestScoreCloud:
     def test_memory_bounded_by_blocks(self, monkeypatch):
         # 230,400 points, 14 blocks: only the alive ids, the source pixel
         # indices, the three per-point sums and the two results grow with
-        # the cloud (56 bytes a point), so the traced peak stays under a
+        # the cloud (52 bytes a point), so the traced peak stays under a
         # per-point allowance plus each worker's block temporaries and one
         # view's (5, H, W) planes, shared by the workers.  Projecting and
         # sampling all points in one call per view would take about 490
@@ -641,7 +641,7 @@ class TestScoreCloud:
         assert n >= 8 * crossview._BLOCK
         planes = 5 * 240 * 320 * 8
         for workers in (1, 2):
-            monkeypatch.setattr(crossview, "_WORKERS", workers)
+            monkeypatch.setattr(purification, "_WORKERS", workers)
             tracemalloc.start()
             try:
                 _, counts = score_cloud(cloud, bundle, conf)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from dynmask import crossview
+from dynmask import purification
 from dynmask.evaluation import (DEFAULT_BOUNDARY_TOL, MetricReport,
                                 boundary_f_frames, boundary_pixels,
                                 cloud_metrics, evaluate_masks,
@@ -280,7 +280,7 @@ class TestCloudMetrics:
         pred, gt = self._far_point_clouds()
         outs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(crossview, "_WORKERS", workers)
+            monkeypatch.setattr(purification, "_WORKERS", workers)
             outs.append(cloud_metrics(pred, gt))
         assert outs[1] == outs[0] and outs[2] == outs[0]
 

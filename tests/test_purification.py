@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynmask import purification
+from dynmask import purification, synthetic
 from dynmask.crossview import activate_confidence, refine_masks
 from dynmask.geometry import CameraModel, project_points
-from dynmask.purification import (DynamicPointCloud, _outright_alive,
+from dynmask.purification import (DEFAULT_R_FACTOR, DEFAULT_TAU,
+                                  DynamicPointCloud, _outright_alive,
                                   build_index, mask_from_cloud, purify,
                                   radius_neighbors, read_ply, scene_diagonal,
                                   unproject_mask, write_ply)
@@ -60,6 +61,19 @@ def _dense_ball(n, radius, seed):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * gen.random(n) ** (1 / 3)
     return dirs * radii[:, None] + [5.0, 5.0, 5.0]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("purify started a thread pool")
+
+
+def _lifted_corpus_cloud():
+    """Corpus member 0's movers plus scattered pixels, lifted: the grid
+    proves the movers' interiors dense and leaves the scatter open."""
+    bundle, gt = synthetic.generate(synthetic.corpus_specs(1)[0])
+    gen = np.random.default_rng(5)
+    masks = (gt.instances >= 0) | (gen.random(gt.instances.shape) > 0.9)
+    return unproject_mask(bundle, masks)
 
 
 def _lifted_empty():
@@ -354,6 +368,53 @@ class TestPurify:
         np.testing.assert_array_equal(out.alive, _brute_counts(pts, 1.0) >= 20)
         assert out.alive[1]
         assert (1 in asked) != decided
+
+    def test_same_verdicts_on_any_number_of_workers(self, monkeypatch):
+        # one worker counts the open points in one call; two or more split
+        # them into two contiguous halves, one per thread, in id order
+        cloud = _lifted_corpus_cloud()
+        r = DEFAULT_R_FACTOR * scene_diagonal(cloud)
+        decided = _outright_alive(cloud.positions, r, DEFAULT_TAU)
+        assert decided.any() and not decided.all()
+        want = _brute_counts(cloud.positions, r) >= DEFAULT_TAU
+        calls = []
+        real = purification.radius_neighbors
+
+        def spy(cloud, index, i, r):
+            calls.append(i)
+            return real(cloud, index, i, r)
+
+        monkeypatch.setattr(purification, "radius_neighbors", spy)
+        for workers, halves in [(1, 1), (2, 2), (3, 2)]:
+            monkeypatch.setattr(purification, "_WORKERS", workers)
+            calls.clear()
+            np.testing.assert_array_equal(purify(cloud).alive, want)
+            assert len(calls) == halves
+            np.testing.assert_array_equal(np.sort(np.concatenate(calls)),
+                                          np.flatnonzero(~decided))
+            assert max(map(len, calls)) - min(map(len, calls)) <= 1
+
+    def test_one_worker_creates_no_pool(self, monkeypatch):
+        cloud = _lifted_corpus_cloud()
+        want = purify(cloud).alive
+        monkeypatch.setattr(purification, "_WORKERS", 1)
+        monkeypatch.setattr(purification, "ThreadPoolExecutor", _no_pool)
+        np.testing.assert_array_equal(purify(cloud).alive, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_and_grid_decided_clouds(self, workers, monkeypatch):
+        # 16 points in one cell: with tau 16 no point has tau others, which
+        # needs no grid, tree or pool; with tau 15 the grid proves every
+        # point dense, and a tree built beside it is never asked
+        monkeypatch.setattr(purification, "_WORKERS", workers)
+        asked = _count_queries(monkeypatch)
+        pts = _dense_ball(16, 1e-3, seed=15)
+        with monkeypatch.context() as patch:
+            patch.setattr(purification, "ThreadPoolExecutor", _no_pool)
+            assert not purify(_cloud(pts), tau=16, radius=1.0).alive.any()
+        assert _outright_alive(pts, 1.0, 15).all()
+        assert purify(_cloud(pts), tau=15, radius=1.0).alive.all()
+        assert asked == []
 
     def test_non_finite_radius_rejected(self):
         cloud = _cloud([[0, 0, 0], [1, 0, 0]])
