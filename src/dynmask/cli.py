@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "JSON spec")
     p_gen.add_argument("spec", help="scene spec JSON file")
     p_gen.add_argument("--out", required=True, help="output scene directory")
-    p_gen.add_argument("--seed", type=int, default=None,
-                       help="override the seed in the spec")
     p_gen.set_defaults(func=cmd_generate)
 
     p_mask = sub.add_parser("mask", help="run the mask pipeline on a scene "
@@ -94,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     spec = synthetic.SceneSpec.from_json(args.spec)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bundle, gt = synthetic.generate(spec, out)

@@ -14,8 +14,6 @@ frame, ...), so output bytes depend only on the spec, never on call order.
 from __future__ import annotations
 
 import json
-import math
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -32,6 +30,28 @@ RAY_EPS = 1e-6
 PLANE_EPS = 1e-12
 # logit emitted where the rendered depth carries no noise at all
 NOISELESS_LOGIT = 40.0
+
+# camera track: focal length over the larger image side, and the lateral
+# step between consecutive camera centres (metres)
+FOCAL_FACTOR = 1.2
+BASELINE = 0.18
+# background: the wall plane z = WALL_Z, the floor plane y = FLOOR_Y, and
+# the checker cell edge of both (metres)
+WALL_Z = 7.0
+FLOOR_Y = 1.4
+CHECKER = 0.5
+# depth noise: edge of the square tiles (pixels) that draw the high sigma,
+# which is HIGH_SIGMA_FACTOR times the base sigma
+NOISE_TILE = 16
+HIGH_SIGMA_FACTOR = 10.0
+# attention: SIGNAL_HEADS heads carry PEAK_GAIN times the smoothed mover
+# silhouette, NOISE_HEADS heads uniform jitter in [NOISE_BASE,
+# NOISE_BASE + NOISE_AMP)
+SIGNAL_HEADS = 2
+NOISE_HEADS = 6
+PEAK_GAIN = 2.0
+NOISE_BASE = 0.5
+NOISE_AMP = 0.6
 
 _MOVER_PALETTE = [
     (0.85, 0.30, 0.25), (0.25, 0.55, 0.85), (0.30, 0.75, 0.35),
@@ -58,29 +78,16 @@ class MoverSpec:
 
 @dataclass
 class SceneSpec:
-    """Complete description of a synthetic scene."""
+    """What a synthetic scene varies; the module constants fix the rest."""
 
     seed: int = 0
     frames: int = 8
     width: int = 96
     height: int = 72
     patch: int = 8
-    focal_factor: float = 1.2
-    baseline: float = 0.18
-    yaw_step_deg: float = 0.0
-    wall_z: float = 7.0
-    floor_y: float = 1.4
-    checker: float = 0.5
     movers: list[MoverSpec] = field(default_factory=list)
     depth_sigma: float = 0.0
-    high_sigma_factor: float = 10.0
     high_fraction: float = 0.0
-    noise_tile: int = 16
-    signal_heads: int = 2
-    noise_heads: int = 6
-    peak_gain: float = 2.0
-    noise_base: float = 0.5
-    noise_amp: float = 0.6
 
     def __post_init__(self) -> None:
         # random streams key on the seed modulo 2**64, so any seed outside
@@ -89,21 +96,16 @@ class SceneSpec:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.frames < 2:
             raise ValueError(f"frames {self.frames} must be >= 2")
-        if min(self.width, self.height, self.patch, self.noise_tile) < 1:
-            raise ValueError("width, height, patch and noise tile must be >= 1")
+        if min(self.width, self.height, self.patch) < 1:
+            raise ValueError("width, height and patch must be >= 1")
         if self.width % self.patch or self.height % self.patch:
             raise ValueError(
                 f"patch {self.patch} must divide {self.width}x{self.height}")
-        if (self.depth_sigma < 0 or self.high_sigma_factor < 0
-                or not 0 <= self.high_fraction <= 1):
+        if self.depth_sigma < 0 or not 0 <= self.high_fraction <= 1:
             raise ValueError("invalid noise parameters")
-        if self.checker <= 0:
-            raise ValueError(f"checker {self.checker} must be > 0")
         for i, mover in enumerate(self.movers):
             if mover.size <= 0:
                 raise ValueError(f"mover {i} size {mover.size} must be > 0")
-        if self.signal_heads < 1 or self.noise_heads < 0:
-            raise ValueError("need at least one signal head")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SceneSpec":
@@ -120,9 +122,8 @@ class SceneSpec:
             part = (json_object(raw.get(section, {}), f"spec {section}", keys)
                     if section else raw)
             for key in sorted(set(keys) & set(part)):
-                name = "noise_tile" if key == "tile" else key
-                kwargs[name] = json_value(
-                    part[key], kinds[name],
+                kwargs[key] = json_value(
+                    part[key], kinds[key],
                     "spec " + f"{section}.{key}".lstrip("."))
         movers = raw.get("movers", [])
         if not isinstance(movers, list):
@@ -136,29 +137,19 @@ class SceneSpec:
             return cls.from_dict(json.load(f))
 
     def cameras(self) -> list[CameraModel]:
-        focal = self.focal_factor * max(self.width, self.height)
+        """One camera per frame, translated BASELINE along x per frame."""
+        focal = FOCAL_FACTOR * max(self.width, self.height)
         cx = (self.width - 1) / 2.0
         cy = (self.height - 1) / 2.0
-        cams = []
-        for f in range(self.frames):
-            yaw = math.radians(self.yaw_step_deg * f)
-            c, s = math.cos(yaw), math.sin(yaw)
-            R = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-            center = np.array([self.baseline * f, 0.0, 0.0])
-            cams.append(CameraModel(fx=focal, fy=focal, cx=cx, cy=cy,
-                                    R=R, t=-R @ center))
-        return cams
+        return [CameraModel(fx=focal, fy=focal, cx=cx, cy=cy, R=np.eye(3),
+                            t=np.array([-BASELINE * f, 0.0, 0.0]))
+                for f in range(self.frames)]
 
 
-# spec JSON sections ("" = top level) and the SceneSpec fields they set;
-# the noise section's "tile" sets noise_tile
+# spec JSON sections ("" = top level) and the SceneSpec fields they set
 _SPEC_KEYS = {
     "": ("seed", "frames", "width", "height", "patch"),
-    "camera": ("focal_factor", "baseline", "yaw_step_deg"),
-    "background": ("wall_z", "floor_y", "checker"),
-    "noise": ("depth_sigma", "high_sigma_factor", "high_fraction", "tile"),
-    "attention": ("signal_heads", "noise_heads", "peak_gain", "noise_base",
-                  "noise_amp"),
+    "noise": ("depth_sigma", "high_fraction"),
 }
 
 
@@ -269,8 +260,8 @@ def _cast_rays(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
     `hit` is 0 for the wall, 1 for the floor, 2 + k for mover k and -1 for
     a miss, where depth is 0; `instance` is k on mover k and -1 elsewhere.
     """
-    candidates = [_intersect_plane(origin, dirs, 2, spec.wall_z),
-                  _intersect_plane(origin, dirs, 1, spec.floor_y)]
+    candidates = [_intersect_plane(origin, dirs, 2, WALL_Z),
+                  _intersect_plane(origin, dirs, 1, FLOOR_Y)]
     for mover in spec.movers:
         pos = mover.positions(spec.frames)[frame]
         if mover.shape == "sphere":
@@ -304,7 +295,7 @@ def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
     for plane, axis in ((0, 1), (1, 2)):
         sel = hit == plane
         if sel.any():
-            color[sel] = _checker_colors(points[sel], axis, spec.checker)
+            color[sel] = _checker_colors(points[sel], axis, CHECKER)
     return (depth.reshape(h, w), color.reshape(h, w, 3),
             instance.reshape(h, w))
 
@@ -314,19 +305,20 @@ def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
 # ---------------------------------------------------------------------------
 
 def _sigma_map(spec: SceneSpec, frame: int) -> np.ndarray:
-    """Per-pixel noise sigma: base everywhere, 10x in random seeded tiles."""
+    """Per-pixel noise sigma: base everywhere, HIGH_SIGMA_FACTOR times the
+    base in random seeded tiles."""
     h, w = spec.height, spec.width
     sigma = np.full((h, w), spec.depth_sigma, dtype=np.float64)
     if spec.depth_sigma <= 0 or spec.high_fraction <= 0:
         return sigma
-    tile = spec.noise_tile
+    tile = NOISE_TILE
     ty = (h + tile - 1) // tile
     tx = (w + tile - 1) // tile
     key = rng.stream_key(spec.seed, "noise-tiles", frame)
     draws = rng.uniforms(key, ty * tx).reshape(ty, tx)
     high = draws < spec.high_fraction
     grown = np.repeat(np.repeat(high, tile, axis=0), tile, axis=1)[:h, :w]
-    sigma[grown] = spec.depth_sigma * spec.high_sigma_factor
+    sigma[grown] = spec.depth_sigma * HIGH_SIGMA_FACTOR
     return sigma
 
 
@@ -338,12 +330,12 @@ def _attention_stack(spec: SceneSpec, mask: np.ndarray, frame: int) -> np.ndarra
         hp, spec.patch, wp, spec.patch).mean(axis=(1, 3))
     smoothed = ndimage.uniform_filter(pooled, size=3, mode="constant")
     heads = []
-    for _ in range(spec.signal_heads):
-        heads.append(smoothed * spec.peak_gain)
-    for h in range(spec.noise_heads):
+    for _ in range(SIGNAL_HEADS):
+        heads.append(smoothed * PEAK_GAIN)
+    for h in range(NOISE_HEADS):
         key = rng.stream_key(spec.seed, "attn-noise", frame, h)
         jitter = rng.uniforms(key, hp * wp).reshape(hp, wp)
-        heads.append(spec.noise_base + spec.noise_amp * jitter)
+        heads.append(NOISE_BASE + NOISE_AMP * jitter)
     return np.stack(heads)
 
 
@@ -357,18 +349,13 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
     h, w = spec.height, spec.width
     cams = spec.cameras()
 
-    centers = np.stack([c.center for c in cams])
-    if np.allclose(centers, centers[0], atol=1e-12):
-        warnings.warn("degenerate camera path: zero baseline everywhere",
-                      stacklevel=2)
-
     true_depths = np.zeros((t, h, w), dtype=np.float32)
     images = np.zeros((t, h, w, 3), dtype=np.float32)
     instances = np.zeros((t, h, w), dtype=np.int32)
     masks = np.zeros((t, h, w), dtype=bool)
     depths = np.zeros((t, h, w), dtype=np.float32)
     logits = np.zeros((t, h, w), dtype=np.float32)
-    attention = np.zeros((t, spec.signal_heads + spec.noise_heads,
+    attention = np.zeros((t, SIGNAL_HEADS + NOISE_HEADS,
                           h // spec.patch, w // spec.patch), dtype=np.float32)
 
     # a mover is dynamic only if its trajectory actually moves; the mask
@@ -424,7 +411,6 @@ def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:
     write_json({
         "seed": spec.seed,
         "noise": {"depth_sigma": spec.depth_sigma,
-                  "high_sigma_factor": spec.high_sigma_factor,
                   "high_fraction": spec.high_fraction},
         "movers": [{"shape": mover.shape, "size": mover.size,
                     "color": [float(v) for v in mover.color],
@@ -479,7 +465,7 @@ def corpus_specs(count: int = 20, frames: int = 6, width: int = 96,
     Scene k gets seed k, one or two compact movers with mostly vertical
     motion (perpendicular to the lateral camera track, so their geometry
     is maximally visible to cross-view checks), heteroscedastic depth
-    noise, and the default 2-signal / 6-noise attention stack.  The
+    noise, and the 2-signal / 6-noise attention stack.  The
     parameter draws come from a fixed stream, so the corpus is identical
     on every call.
     """

@@ -100,14 +100,19 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
 
     Readers see either the old file or the complete new one, never a
     partial write, and writers in different processes never share a
+    temporary.  A write that raises, or is interrupted, removes its
     temporary.
     """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as f:
-        for chunk in chunks:
-            f.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -145,25 +145,35 @@ class TestGenerate:
         assert _digest_dir(a) == _digest_dir(b)
 
     def test_seed_override_changes_output(self, tmp_path):
-        spec = _write_spec(tmp_path / "spec.json", SPEC)
+        # each spec file overrides SPEC's seed
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["generate", spec, "--out", str(a), "--seed", "1"]) == 0
-        assert main(["generate", spec, "--out", str(b), "--seed", "2"]) == 0
+        for seed, out in ((1, a), (2, b)):
+            spec = _write_spec(tmp_path / f"spec{seed}.json",
+                               {**SPEC, "seed": seed})
+            assert main(["generate", spec, "--out", str(out)]) == 0
         assert _digest_dir(a) != _digest_dir(b)
 
     @pytest.mark.parametrize("seed, code", [
         (2 ** 64 - 1, 0), (2 ** 64, 2), (-1, 2),
     ], ids=["largest", "2**64", "negative"])
     def test_seed_override_range(self, tmp_path, capsys, seed, code):
-        # random streams key on the seed modulo 2**64, so --seed 2**64 used
+        # random streams key on the seed modulo 2**64, so seed 2**64 used
         # to write the scene of seed 0
-        spec = _write_spec(tmp_path / "spec.json", SPEC)
+        spec = _write_spec(tmp_path / "spec.json", {**SPEC, "seed": seed})
         out = tmp_path / "o"
-        assert main(["generate", spec, "--out", str(out),
-                     "--seed", str(seed)]) == code
+        assert main(["generate", spec, "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert ("dynmask generate: error: seed" in err) == bool(code)
         assert out.exists() == (not code)
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the seed is set in the spec only
+        spec = _write_spec(tmp_path / "spec.json", SPEC)
+        out = tmp_path / "o"
+        assert main(["generate", spec, "--out", str(out),
+                     "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_spec_file(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "nope.json"),
@@ -583,12 +593,14 @@ class TestResiduals:
         assert medians[1] > 1.5 * medians[0]
 
     def test_degenerate_baseline_names_frame_pair(self, tmp_path, capsys):
-        spec = _write_spec(tmp_path / "spec.json",
-                           {**STATIC_SPEC, "camera": {"baseline": 0.0}})
+        spec = _write_spec(tmp_path / "spec.json", STATIC_SPEC)
         scene = tmp_path / "scene"
-        with pytest.warns(UserWarning, match="zero baseline"):
-            assert main(["generate", spec, "--out", str(scene)]) == 0
+        assert main(["generate", spec, "--out", str(scene)]) == 0
         capsys.readouterr()
+        # frame 1's camera sits where frame 0's does: a zero baseline
+        manifest = json.loads((scene / "scene.json").read_text())
+        manifest["cameras"][1] = manifest["cameras"][0]
+        (scene / "scene.json").write_text(json.dumps(manifest))
         assert main(["residuals", str(scene),
                      "--out", str(tmp_path / "res")]) == 2
         err = capsys.readouterr().err

@@ -19,8 +19,9 @@ from scipy import ndimage
 from dynmask import attention, purification
 from dynmask.geometry import (project_dynamic_world_batch, project_points,
                               unproject_pixels)
-from dynmask.synthetic import (MoverSpec, SceneSpec, _sigma_map, generate,
-                               load_ground_truth)
+from dynmask.synthetic import (_SPEC_KEYS, FLOOR_Y, NOISE_AMP, NOISE_BASE,
+                               SIGNAL_HEADS, WALL_Z, MoverSpec, SceneSpec,
+                               _sigma_map, generate, load_ground_truth)
 from dynmask.tensor_io import SceneFormatError, load_scene, validate_bundle
 from oracles import GT_BREAKAGES, cast_depth, corrupt, project_rigid_batch
 
@@ -46,20 +47,27 @@ def _mover_spec(seed=0, frames=6, velocity=(0.12, 0.0, 0.0)):
                      movers=[mover])
 
 
+def _readme_section(heading):
+    """README text from the heading line that ends in `heading` to the
+    next heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^#+ [^\n]*{heading}\n(.*?)(?=^#|\Z)", readme,
+                     re.S | re.M).group(1)
+
+
 class TestSpecParsing:
     def test_from_dict_roundtrip(self):
         raw = {
             "seed": 11, "frames": 4, "width": 32, "height": 32, "patch": 8,
-            "camera": {"focal_factor": 1.5, "baseline": 0.1},
             "movers": [{"shape": "box", "size": 0.4,
                         "start": [0, 0, 3], "velocity": [0.1, 0, 0]}],
             "noise": {"depth_sigma": 0.02, "high_fraction": 0.25},
         }
         spec = SceneSpec.from_dict(raw)
-        assert spec.seed == 11
-        assert spec.focal_factor == 1.5
+        assert (spec.seed, spec.frames, spec.width, spec.height,
+                spec.patch) == (11, 4, 32, 32, 8)
         assert spec.movers[0].shape == "box"
-        assert spec.depth_sigma == 0.02
+        assert spec.depth_sigma == 0.02 and spec.high_fraction == 0.25
 
     def test_rejects_single_frame(self):
         with pytest.raises(ValueError):
@@ -84,51 +92,67 @@ class TestSpecParsing:
     @pytest.mark.parametrize("raw, key", [
         ({"frame": 3}, "frame"),
         ({"noise": {"depth_sigma": 0.02, "high_frac": 0.25}}, "high_frac"),
-        ({"camera": {"focal": 1.5}}, "focal"),
         ({"movers": [{"size": 0.3, "start": [0, 0, 3], "speed": [1, 0, 0]}]},
          "speed"),
-    ], ids=["top", "section", "camera", "mover"])
+        # the camera track, background, attention heads, noise tile and
+        # high-sigma factor are constants, not spec keys
+        ({"camera": {"baseline": 0.1}}, "camera"),
+        ({"background": {"checker": 0.5}}, "background"),
+        ({"attention": {"noise_heads": 6}}, "attention"),
+        ({"noise": {"tile": 16}}, "tile"),
+        ({"noise": {"high_sigma_factor": 10.0}}, "high_sigma_factor"),
+    ], ids=["top", "section", "mover", "camera", "background", "attention",
+            "noise-tile", "high-sigma-factor"])
     def test_unknown_key_rejected(self, raw, key):
         with pytest.raises(ValueError, match=key):
             SceneSpec.from_dict(raw)
 
     @pytest.mark.parametrize("raw", [
-        {"frames": 3.7}, {"width": 96.5}, {"noise": {"tile": 8.5}},
-        {"attention": {"noise_heads": 2.2}},
-    ], ids=["frames", "width", "noise-tile", "noise-heads"])
+        {"frames": 3.7}, {"width": 96.5}, {"patch": 8.5}, {"seed": 2.2},
+    ], ids=["frames", "width", "patch", "seed"])
     def test_fractional_integer_rejected(self, raw):
         with pytest.raises(ValueError, match="whole number"):
             SceneSpec.from_dict(raw)
 
     def test_whole_float_integer_accepted(self):
-        spec = SceneSpec.from_dict({"frames": 3.0, "noise": {"tile": 8.0}})
+        spec = SceneSpec.from_dict({"frames": 3.0, "patch": 8.0})
         assert spec.frames == 3 and type(spec.frames) is int
-        assert spec.noise_tile == 8 and type(spec.noise_tile) is int
+        assert spec.patch == 8 and type(spec.patch) is int
 
     @pytest.mark.parametrize("raw", [
-        {"frames": "3"}, {"seed": True}, {"camera": {"baseline": None}},
-        {"noise": {"depth_sigma": float("nan")}}, {"camera": []},
+        {"frames": "3"}, {"seed": True}, {"noise": {"depth_sigma": None}},
+        {"noise": {"depth_sigma": float("nan")}}, {"noise": []},
         {"movers": [{"size": 0.3, "start": [0, 3]}]},
         {"movers": [{"size": 0.3, "start": [0, 0, 3], "color": "red"}]},
         {"movers": {}}, [], {"seed": 10 ** 400},
         {"movers": [{"size": 0.3, "start": ["0", "0", "3"]}]},
-        {"seed": 2 ** 64}, {"seed": -1}, {"background": {"checker": 0}},
-        {"noise": {"high_sigma_factor": -1}},
+        {"seed": 2 ** 64}, {"seed": -1},
+        {"noise": {"depth_sigma": -0.01}}, {"noise": {"high_fraction": 1.5}},
         {"movers": [{"size": 0, "start": [0, 0, 3]}]},
         {"movers": [{"size": -0.3, "start": [0, 0, 3]}]},
     ], ids=["string", "bool", "null", "nan", "section-list", "short-start",
             "color-string", "movers-object", "spec-list", "seed-huge",
-            "start-strings", "seed-2**64", "seed-negative", "checker-zero",
-            "high-sigma-negative", "mover-size-zero", "mover-size-negative"])
+            "start-strings", "seed-2**64", "seed-negative",
+            "depth-sigma-negative", "high-fraction-above-one",
+            "mover-size-zero", "mover-size-negative"])
     def test_malformed_value_rejected(self, raw):
         with pytest.raises(ValueError):
             SceneSpec.from_dict(raw)
 
     def test_readme_example_parses(self):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        example = re.search(r"```json\n(.*?)```", _readme_section(
+            "Generate a synthetic scene"), re.S).group(1)
         spec = SceneSpec.from_dict(json.loads(example))
         assert spec.frames == 6 and len(spec.movers) == 1
+
+    def test_readme_table_names_the_spec_keys(self):
+        # each row of the spec table is `section` | `key` (default), ...
+        rows = re.findall(r"^\| (top level|`\w+`) \| (.*) \|$",
+                          _readme_section("Generate a synthetic scene"), re.M)
+        table = {section.strip("`"): tuple(re.findall(r"`(\w+)`", keys))
+                 for section, keys in rows}
+        assert table == {section or "top level": keys
+                         for section, keys in _SPEC_KEYS.items()}
 
     def test_default_palette_assigns_colors(self):
         raw = {"movers": [{"shape": "sphere", "size": 0.3, "start": [0, 0, 3]},
@@ -140,21 +164,21 @@ class TestSpecParsing:
 class TestRender:
     def test_wall_depth_is_exact(self):
         # camera centers sit at z=0 looking down +z, so every wall pixel
-        # has camera depth exactly wall_z
+        # has camera depth exactly WALL_Z
         spec = _static_spec()
         bundle, gt = generate(spec)
-        wall = gt.true_depths[0] == np.float32(spec.wall_z)
+        wall = gt.true_depths[0] == np.float32(WALL_Z)
         assert wall.any()
         center = gt.true_depths[0, 0, spec.width // 2]
-        assert center == np.float32(spec.wall_z)
+        assert center == np.float32(WALL_Z)
 
     def test_floor_depth_matches_formula(self):
         spec = _static_spec()
         bundle, gt = generate(spec)
         cam = bundle.cameras[0]
         v = spec.height - 1
-        expected = cam.fy * spec.floor_y / (v - cam.cy)
-        if expected < spec.wall_z:  # floor visible at the bottom row
+        expected = cam.fy * FLOOR_Y / (v - cam.cy)
+        if expected < WALL_Z:  # floor visible at the bottom row
             got = float(gt.true_depths[0, v, spec.width // 2])
             assert got == pytest.approx(expected, abs=1e-4)
 
@@ -199,12 +223,6 @@ class TestRender:
     def test_bundle_validates(self):
         bundle, _ = generate(_mover_spec())
         validate_bundle(bundle)
-
-    def test_degenerate_track_warns(self):
-        spec = _static_spec()
-        spec.baseline = 0.0
-        with pytest.warns(UserWarning):
-            generate(spec)
 
 
 class TestRigidConsistency:
@@ -371,10 +389,10 @@ class TestAttention:
     def test_noise_heads_bounded_and_distinct(self):
         spec = _mover_spec()
         bundle, _ = generate(spec)
-        for h in range(spec.signal_heads, 8):
+        for h in range(SIGNAL_HEADS, 8):
             head = bundle.attention[0, h]
-            assert (head >= spec.noise_base - 1e-6).all()
-            assert (head <= spec.noise_base + spec.noise_amp + 1e-6).all()
+            assert (head >= NOISE_BASE - 1e-6).all()
+            assert (head <= NOISE_BASE + NOISE_AMP + 1e-6).all()
         assert not np.array_equal(bundle.attention[0, 2],
                                   bundle.attention[0, 3])
 

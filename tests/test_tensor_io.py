@@ -12,6 +12,22 @@ from dynmask.tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
                                validate_bundle, write_pgm, write_tensor)
 
 
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        p = tmp_path / "x.bin"
+        with pytest.raises(TypeError):
+            tensor_io.write_atomic(p, b"ok", object())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "x.bin"
+        tensor_io.write_atomic(p, b"old")
+        with pytest.raises(TypeError):
+            tensor_io.write_atomic(p, b"new", object())
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes() == b"old"
+
+
 class TestTensorRoundTrip:
     def test_shapes_and_values(self, tmp_path):
         gen = np.random.default_rng(42)
