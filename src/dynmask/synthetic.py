@@ -1,11 +1,15 @@
 """Procedural multi-view scenes with exact ground truth.
 
 Scenes are analytic: a checkered back wall and floor plus rigidly
-translating spheres/boxes, ray-cast per frame from a lateral camera track.
-Because every intersection is closed-form, the depth maps, masks, instance
-labels, and trajectories are exact, which makes the generator usable as an
-oracle: epipolar identities, projection consistency, and classification
-labels can all be checked against it.
+translating spheres/boxes, ray-cast from a lateral camera track.  The
+track's cameras share their intrinsics and rotation, so a scene casts its
+pixel rays, and their wall and floor hits, once; each frame intersects
+only the movers, keeps the nearest hit by a running minimum, and colours
+pixels by one gather from a palette.  Because every intersection is
+closed-form, the depth maps, masks, instance labels, and trajectories are
+exact, which makes the generator usable as an oracle: epipolar identities,
+projection consistency, and classification labels can all be checked
+against it.
 
 All randomness flows through counter-based streams keyed on (seed, purpose,
 frame, ...), so output bytes depend only on the spec, never on call order.
@@ -14,8 +18,10 @@ frame, ...), so output bytes depend only on the spec, never on call order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -28,6 +34,8 @@ from .tensor_io import (SceneBundle, SceneFormatError, json_object,
 
 RAY_EPS = 1e-6
 PLANE_EPS = 1e-12
+# a frame file of a stack: (prefix, extension) of ``<prefix>_NNNN.<ext>``
+_FRAME_FILE = re.compile(r"(.+)_\d{4,}\.(\w+)")
 # logit emitted where the rendered depth carries no noise at all
 NOISELESS_LOGIT = 40.0
 
@@ -199,6 +207,33 @@ def _ray_directions(pixels: np.ndarray, cam: CameraModel) -> np.ndarray:
     return pixel_rays(pixels, cam) @ cam.R  # row-vector form of R^T @ d
 
 
+class _Rays(NamedTuple):
+    """Pixel rays of a camera and what every frame's cast along them shares.
+
+    The directions depend only on the camera's intrinsics and rotation, the
+    wall hits also on its centre's z and the floor hits on its centre's y,
+    so cameras that differ only in their centre's x share one `_Rays`.
+    """
+
+    dirs: np.ndarray    # (N, 3) world directions, camera-z component 1
+    a: np.ndarray       # (N,) |d|^2, the sphere test's quadratic coefficient
+    wall: np.ndarray    # (N,) ray parameter of the wall hit, inf = miss
+    floor: np.ndarray   # (N,) ray parameter of the floor hit, inf = miss
+
+
+def _camera_rays(pixels: np.ndarray, cam: CameraModel) -> _Rays:
+    dirs = _ray_directions(pixels, cam)
+    origin = cam.center
+    return _Rays(dirs, (dirs * dirs).sum(axis=1),
+                 _intersect_plane(origin, dirs, 2, WALL_Z),
+                 _intersect_plane(origin, dirs, 1, FLOOR_Y))
+
+
+def _rays_key(cam: CameraModel) -> tuple:
+    """What a camera's `_Rays` depend on: intrinsics, rotation, centre y, z."""
+    return (cam.K.tobytes(), cam.R.tobytes(), *cam.center[1:].tolist())
+
+
 def _intersect_plane(origin, dirs, axis, value):
     """Ray parameter of each hit with the plane x[axis] = value; inf = miss."""
     d = dirs[:, axis]
@@ -209,9 +244,9 @@ def _intersect_plane(origin, dirs, axis, value):
     return s
 
 
-def _intersect_sphere(origin, dirs, center, radius):
+def _intersect_sphere(origin, dirs, a, center, radius):
+    """Ray parameter of each near hit with a sphere; `a` is |d|^2."""
     oc = origin - center
-    a = (dirs * dirs).sum(axis=1)
     b = 2.0 * (dirs @ oc)
     c = float(oc @ oc) - radius * radius
     disc = b * b - 4.0 * a * c
@@ -244,60 +279,62 @@ def _intersect_box(origin, dirs, center, half):
     return s
 
 
-def _checker_colors(points: np.ndarray, axis: int, cell: float) -> np.ndarray:
-    """Checker colours of plane points over their x and `axis` coordinates."""
-    a, b = points[:, 0], points[:, axis]
-    parity = (np.floor(a / cell) + np.floor(b / cell)).astype(np.int64) & 1
-    dark = np.asarray(_CHECKER_DARK)
-    light = np.asarray(_CHECKER_LIGHT)
-    return np.where(parity[:, None] == 0, dark[None, :], light[None, :])
-
-
-def _cast_rays(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray,
-               frame: int):
-    """Nearest hit along each ray: (depth, instance, hit, hit_points).
-
-    `hit` is 0 for the wall, 1 for the floor, 2 + k for mover k and -1 for
-    a miss, where depth is 0; `instance` is k on mover k and -1 elsewhere.
-    """
-    candidates = [_intersect_plane(origin, dirs, 2, WALL_Z),
-                  _intersect_plane(origin, dirs, 1, FLOOR_Y)]
+def _hits_after_wall(spec: SceneSpec, origin: np.ndarray, rays: _Rays,
+                     frame: int):
+    """Ray parameters of the floor's hits, then of each mover's at `frame`:
+    the candidates of hit index 1, 2, ... (inf = miss)."""
+    yield rays.floor
     for mover in spec.movers:
         pos = mover.positions(spec.frames)[frame]
         if mover.shape == "sphere":
-            s = _intersect_sphere(origin, dirs, pos, mover.size)
+            yield _intersect_sphere(origin, rays.dirs, rays.a, pos, mover.size)
         else:
-            s = _intersect_box(origin, dirs, pos, np.full(3, mover.size / 2.0))
-        candidates.append(s)
-
-    all_s = np.stack(candidates)
-    best = all_s.argmin(axis=0)
-    depth = all_s[best, np.arange(dirs.shape[0])]
-    missed = ~np.isfinite(depth)
-    hit = np.where(missed, -1, best)
-    instance = np.where(hit >= 2, hit - 2, -1).astype(np.int32)
-    depth = np.where(missed, 0.0, depth)
-    points = origin[None, :] + depth[:, None] * dirs
-    return depth, instance, hit, points
+            yield _intersect_box(origin, rays.dirs, pos,
+                                 np.full(3, mover.size / 2.0))
 
 
-def _render_frame(spec: SceneSpec, cam: CameraModel, frame: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (depth (H,W), color (H,W,3), instance (H,W) with -1 = static)."""
-    h, w = spec.height, spec.width
-    us, vs = np.meshgrid(np.arange(w), np.arange(h))
-    dirs = _ray_directions(np.column_stack([us.ravel(), vs.ravel()]), cam)
-    depth, instance, hit, points = _cast_rays(spec, cam.center, dirs, frame)
-    color = np.zeros((dirs.shape[0], 3))
-    for idx, mover in enumerate(spec.movers):
-        color[instance == idx] = mover.color[None, :]
+def _cast_rays(spec: SceneSpec, origin: np.ndarray, rays: _Rays,
+               frame: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest hit along each ray from `origin`: (depth, hit).
+
+    `hit` is 0 for the wall, 1 for the floor, 2 + k for mover k and -1 for
+    a miss, where depth is 0.  `rays` must be those of a camera centred at
+    `origin`, or at a point that differs from it only in x.
+    """
+    depth = rays.wall.copy()
+    hit = np.zeros(len(depth), dtype=np.intp)
+    closer = np.empty(len(depth), dtype=bool)
+    for index, s in enumerate(_hits_after_wall(spec, origin, rays, frame),
+                              start=1):
+        # strict: on a tie the lower index keeps the ray, as argmin would
+        np.less(s, depth, out=closer)
+        np.copyto(depth, s, where=closer)
+        np.copyto(hit, index, where=closer)
+    missed = np.isinf(depth)
+    depth[missed] = 0.0
+    hit[missed] = -1
+    return depth, hit
+
+
+def _render_frame(spec: SceneSpec, origin: np.ndarray, rays: _Rays,
+                  frame: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(depth, hit, colour) of each ray; colour indexes the scene palette.
+
+    Palette rows are 0 for a miss, 1 and 2 for the dark and light checker
+    cells, and 3 + k for mover k.
+    """
+    depth, hit = _cast_rays(spec, origin, rays, frame)
+    color = hit + 1
     # hit 0, the wall, is checkered over (x, y); hit 1, the floor, over (x, z)
     for plane, axis in ((0, 1), (1, 2)):
-        sel = hit == plane
-        if sel.any():
-            color[sel] = _checker_colors(points[sel], axis, CHECKER)
-    return (depth.reshape(h, w), color.reshape(h, w, 3),
-            instance.reshape(h, w))
+        sel = np.flatnonzero(hit == plane)
+        s = depth[sel]
+        a = origin[0] + s * rays.dirs[sel, 0]
+        b = origin[axis] + s * rays.dirs[sel, axis]
+        parity = (np.floor(a / CHECKER) + np.floor(b / CHECKER)
+                  ).astype(np.int64) & 1
+        color[sel] = 1 + parity
+    return depth, hit, color
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +403,28 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
         dynamic[i] = bool(np.any(np.linalg.norm(np.diff(pos, axis=0),
                                                 axis=1) > 0))
 
-    for f in range(t):
-        depth, color, inst = _render_frame(spec, cams[f], f)
-        true_depths[f] = depth.astype(np.float32)
-        images[f] = np.clip(color, 0.0, 1.0).astype(np.float32)
-        instances[f] = inst
-        if len(spec.movers):
-            masks[f] = (inst >= 0) & dynamic[np.maximum(inst, 0)]
+    # one row per colour index of _render_frame; clipping a row clips
+    # every pixel drawn from it
+    palette = np.clip([(0.0, 0.0, 0.0), _CHECKER_DARK, _CHECKER_LIGHT,
+                       *(m.color for m in spec.movers)], 0.0, 1.0
+                      ).astype(np.float32)
+    # the mask labels the colour indices of dynamic movers
+    dynamic_color = np.concatenate([np.zeros(3, dtype=bool), dynamic])
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    pixels = np.column_stack([us.ravel(), vs.ravel()])
+    # every camera of the track shares its rays with those of the same key
+    rays: dict[tuple, _Rays] = {}
+    for f, cam in enumerate(cams):
+        ray_key = _rays_key(cam)
+        if ray_key not in rays:
+            rays[ray_key] = _camera_rays(pixels, cam)
+        flat_depth, hit, color = _render_frame(spec, cam.center,
+                                               rays[ray_key], f)
+        depth = flat_depth.reshape(h, w)
+        true_depths[f] = depth
+        images[f] = palette[color].reshape(h, w, 3)
+        instances[f] = np.maximum(hit - 2, -1).reshape(h, w)
+        masks[f] = dynamic_color[color].reshape(h, w)
 
         sigma = _sigma_map(spec, f)
         valid = depth > 0
@@ -402,7 +454,24 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
     if out_dir is not None:
         save_scene(bundle, out_dir)
         save_ground_truth(gt, out_dir, spec)
+        # a longer scene generated here before leaves frames past this one's
+        for path in _unlisted_frames(Path(out_dir)):
+            path.unlink()
     return bundle, gt
+
+
+def _unlisted_frames(scene_dir: Path) -> list[Path]:
+    """Files in `scene_dir` named ``<prefix>_NNNN.<ext>`` after a stack
+    that scene.json or gt.json lists, but listed by neither, sorted."""
+    listed = {name for manifest in ("scene.json", "gt.json")
+              for value in read_manifest(scene_dir / manifest).values()
+              if isinstance(value, list)
+              for name in value if isinstance(name, str)}
+    stacks = {_FRAME_FILE.fullmatch(name).groups() for name in listed}
+    return sorted(path for path in scene_dir.iterdir()
+                  if path.name not in listed
+                  and (match := _FRAME_FILE.fullmatch(path.name))
+                  and match.groups() in stacks)
 
 
 def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:

@@ -4,7 +4,8 @@ No pipeline or CLI path runs these, so they live with the tests: the
 single-pixel and camera-frame-motion warps, the scalar epipolar residual
 and its first-order estimate, the mean Jaccard and boundary scores, the
 boundary measure by whole-frame distance transforms, the analytic depth
-cast at arbitrary pixels, the outlier injection of the ablation gate, and
+cast at arbitrary pixels, the frame-by-frame render the generator must
+match, the outlier injection of the ablation gate, and
 the table of malformed ground-truth directories that both the loader and
 the CLI must reject.
 """
@@ -21,7 +22,10 @@ from dynmask.geometry import (MIN_DEPTH, CameraModel, epipolar_residual_batch,
                               essential_from_poses, pixel_rays,
                               project_dynamic_world_batch, project_points,
                               unproject_pixels)
-from dynmask.synthetic import SceneSpec, _cast_rays, _ray_directions
+from dynmask.synthetic import (_CHECKER_DARK, _CHECKER_LIGHT, CHECKER, FLOOR_Y,
+                               WALL_Z, SceneSpec, _camera_rays, _cast_rays,
+                               _intersect_box, _intersect_plane,
+                               _intersect_sphere, _ray_directions)
 from dynmask.tensor_io import SceneBundle, read_tensor, write_tensor
 
 
@@ -162,9 +166,62 @@ def cast_depth(spec: SceneSpec, cam: CameraModel, frame: int,
     The cast is closed form, so the depth along any ray is exact, not a
     resampling of the rendered grid.
     """
-    dirs = _ray_directions(pixels, cam)
-    depth, instance, _, _ = _cast_rays(spec, cam.center, dirs, frame)
-    return depth, instance
+    depth, hit = _cast_rays(spec, cam.center, _camera_rays(pixels, cam),
+                            frame)
+    return depth, np.maximum(hit - 2, -1).astype(np.int32)
+
+
+def _checker_colors(points: np.ndarray, axis: int, cell: float) -> np.ndarray:
+    """Checker colours of plane points over their x and `axis` coordinates."""
+    a, b = points[:, 0], points[:, axis]
+    parity = (np.floor(a / cell) + np.floor(b / cell)).astype(np.int64) & 1
+    dark = np.asarray(_CHECKER_DARK)
+    light = np.asarray(_CHECKER_LIGHT)
+    return np.where(parity[:, None] == 0, dark[None, :], light[None, :])
+
+
+def render_frame(spec: SceneSpec, cam: CameraModel, frame: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame rendered on its own: (depth (H, W), colour (H, W, 3),
+    instance (H, W) with -1 = static).
+
+    Builds this camera's rays, stacks every candidate hit for one argmin,
+    writes each mover's colour and checkers the wall and floor hit points,
+    with nothing shared between frames.
+    """
+    h, w = spec.height, spec.width
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    dirs = _ray_directions(np.column_stack([us.ravel(), vs.ravel()]), cam)
+    origin = cam.center
+    a = (dirs * dirs).sum(axis=1)
+    candidates = [_intersect_plane(origin, dirs, 2, WALL_Z),
+                  _intersect_plane(origin, dirs, 1, FLOOR_Y)]
+    for mover in spec.movers:
+        pos = mover.positions(spec.frames)[frame]
+        if mover.shape == "sphere":
+            s = _intersect_sphere(origin, dirs, a, pos, mover.size)
+        else:
+            s = _intersect_box(origin, dirs, pos, np.full(3, mover.size / 2.0))
+        candidates.append(s)
+    all_s = np.stack(candidates)
+    best = all_s.argmin(axis=0)
+    depth = all_s[best, np.arange(dirs.shape[0])]
+    missed = ~np.isfinite(depth)
+    hit = np.where(missed, -1, best)
+    instance = np.where(hit >= 2, hit - 2, -1).astype(np.int32)
+    depth = np.where(missed, 0.0, depth)
+    points = origin[None, :] + depth[:, None] * dirs
+
+    color = np.zeros((dirs.shape[0], 3))
+    for idx, mover in enumerate(spec.movers):
+        color[instance == idx] = mover.color[None, :]
+    # hit 0, the wall, is checkered over (x, y); hit 1, the floor, over (x, z)
+    for plane, axis in ((0, 1), (1, 2)):
+        sel = hit == plane
+        if sel.any():
+            color[sel] = _checker_colors(points[sel], axis, CHECKER)
+    return (depth.reshape(h, w), color.reshape(h, w, 3),
+            instance.reshape(h, w))
 
 
 def corrupt(bundle: SceneBundle, outlier_points: int = 0,

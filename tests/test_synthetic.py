@@ -16,14 +16,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from dynmask import attention, purification
-from dynmask.geometry import (project_dynamic_world_batch, project_points,
-                              unproject_pixels)
+from dynmask import attention, purification, synthetic
+from dynmask.geometry import (CameraModel, project_dynamic_world_batch,
+                              project_points, unproject_pixels)
 from dynmask.synthetic import (_SPEC_KEYS, FLOOR_Y, NOISE_AMP, NOISE_BASE,
                                SIGNAL_HEADS, WALL_Z, MoverSpec, SceneSpec,
-                               _sigma_map, generate, load_ground_truth)
+                               _sigma_map, corpus_specs, generate,
+                               load_ground_truth)
 from dynmask.tensor_io import SceneFormatError, load_scene, validate_bundle
-from oracles import GT_BREAKAGES, cast_depth, corrupt, project_rigid_batch
+from oracles import (GT_BREAKAGES, cast_depth, corrupt, project_rigid_batch,
+                     render_frame)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -223,6 +225,102 @@ class TestRender:
     def test_bundle_validates(self):
         bundle, _ = generate(_mover_spec())
         validate_bundle(bundle)
+
+
+def _box_spec():
+    mover = MoverSpec(shape="box", size=0.6, start=np.array([0.0, 0.0, 3.0]),
+                      velocity=np.array([0.1, 0.05, 0.0]),
+                      color=np.array([0.2, 0.5, 0.9]))
+    return SceneSpec(frames=4, width=64, height=48, patch=8, movers=[mover])
+
+
+def _coincident_spec():
+    # two spheres on one track: every ray that meets them meets both at
+    # the same parameter, and the lower mover index must take it
+    movers = [MoverSpec(shape="sphere", size=0.5, start=np.array([0.3, 0.0, 3.2]),
+                        velocity=np.array([0.05, 0.1, 0.0]), color=np.array(rgb))
+              for rgb in ((0.9, 0.2, 0.1), (0.1, 0.3, 0.9))]
+    return SceneSpec(frames=4, width=64, height=48, patch=8, movers=movers)
+
+
+_ORACLE_SPECS = {
+    **{f"corpus-{k:02d}": spec for k, spec in enumerate(corpus_specs())},
+    "box": _box_spec(),
+    "static-mover": _mover_spec(frames=4, velocity=(0.0, 0.0, 0.0)),
+    "coincident": _coincident_spec(),
+}
+
+
+def _assert_frames_match_oracle(spec, bundle, gt):
+    """Depth, colour and instance maps equal a frame-by-frame render."""
+    for f, cam in enumerate(bundle.cameras):
+        depth, color, instance = render_frame(spec, cam, f)
+        np.testing.assert_array_equal(gt.true_depths[f],
+                                      depth.astype(np.float32))
+        np.testing.assert_array_equal(
+            bundle.images[f], np.clip(color, 0.0, 1.0).astype(np.float32))
+        np.testing.assert_array_equal(gt.instances[f], instance)
+
+
+class TestSharedRays:
+    """Rays cast once per scene render what per-frame rays would."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+    def test_matches_per_frame_render(self, name):
+        spec = _ORACLE_SPECS[name]
+        bundle, gt = generate(spec)
+        _assert_frames_match_oracle(spec, bundle, gt)
+
+    def test_coincident_movers_lower_index_wins(self):
+        bundle, gt = generate(_coincident_spec())
+        assert (gt.instances == 0).sum() > 100
+        assert not (gt.instances == 1).any()
+        on = gt.instances == 0
+        np.testing.assert_array_equal(
+            bundle.images[on], np.broadcast_to(
+                np.float32([0.9, 0.2, 0.1]), (int(on.sum()), 3)))
+
+    def _count_ray_calls(self, monkeypatch):
+        calls = []
+        cast = synthetic._ray_directions
+
+        def recorded(pixels, cam):
+            calls.append(len(pixels))
+            return cast(pixels, cam)
+
+        monkeypatch.setattr(synthetic, "_ray_directions", recorded)
+        return calls
+
+    def test_rays_computed_once_per_scene(self, monkeypatch):
+        calls = self._count_ray_calls(monkeypatch)
+        spec = _mover_spec(frames=6)
+        generate(spec)
+        assert calls == [spec.width * spec.height]
+
+    @pytest.mark.parametrize("track", ["turning", "rising-dolly"])
+    def test_track_off_the_x_axis_casts_rays_per_pose(self, monkeypatch,
+                                                      track):
+        # a track that turns, or whose centre moves in y and z, shares no
+        # rays between frames, and each frame must still match its render
+        def cameras(spec):
+            out = []
+            for f in range(spec.frames):
+                yaw = 0.04 * f if track == "turning" else 0.0
+                R = np.array([[np.cos(yaw), 0.0, -np.sin(yaw)],
+                              [0.0, 1.0, 0.0],
+                              [np.sin(yaw), 0.0, np.cos(yaw)]])
+                t = (np.array([-0.1 * f, 0.0, 0.0]) if track == "turning"
+                     else np.array([0.0, 0.05 * f, -0.1 * f]))
+                out.append(CameraModel(fx=70.0, fy=70.0, cx=31.5, cy=23.5,
+                                       R=R, t=t))
+            return out
+
+        monkeypatch.setattr(SceneSpec, "cameras", cameras)
+        calls = self._count_ray_calls(monkeypatch)
+        spec = _box_spec()
+        bundle, gt = generate(spec)
+        assert calls == [spec.width * spec.height] * spec.frames
+        _assert_frames_match_oracle(spec, bundle, gt)
 
 
 class TestRigidConsistency:
@@ -433,18 +531,39 @@ class TestDeterminism:
         assert not np.array_equal(ba.depths, bb.depths)
         assert not np.array_equal(ba.attention, bb.attention)
 
-    def test_every_file_is_named_by_a_manifest(self, tmp_path):
-        spec = _mover_spec(seed=4)
-        spec.depth_sigma = 0.02
-        generate(spec, tmp_path)
+    def _assert_every_file_named(self, root: Path):
         named = {"scene.json", "gt.json"}
         for manifest in named.copy():
-            raw = json.loads((tmp_path / manifest).read_text())
+            raw = json.loads((root / manifest).read_text())
             for value in raw.values():
                 if isinstance(value, list) and all(isinstance(v, str)
                                                    for v in value):
                     named.update(value)
-        assert {p.name for p in tmp_path.iterdir()} == named
+        assert {p.name for p in root.iterdir()} == named
+
+    def test_every_file_is_named_by_a_manifest(self, tmp_path):
+        spec = _mover_spec(seed=4)
+        spec.depth_sigma = 0.02
+        generate(spec, tmp_path)
+        self._assert_every_file_named(tmp_path)
+
+    def test_every_file_is_named_after_regenerating_shorter(self, tmp_path):
+        # the frames past the end of the earlier, longer scene must go
+        generate(_mover_spec(seed=4, frames=9), tmp_path)
+        spec = _mover_spec(seed=4)
+        spec.depth_sigma = 0.02
+        generate(spec, tmp_path)
+        self._assert_every_file_named(tmp_path)
+
+    def test_regenerating_keeps_other_files(self, tmp_path):
+        # only frame files of the scene's own stacks are removed
+        generate(_mover_spec(seed=4, frames=8), tmp_path)
+        others = ["notes.txt", "img_0007.txt", "mask_0007.pgm", "img_7.dmt"]
+        for name in others:
+            (tmp_path / name).write_text("kept")
+        generate(_mover_spec(seed=4, frames=6), tmp_path)
+        assert all((tmp_path / name).read_text() == "kept" for name in others)
+        assert not (tmp_path / "img_0006.dmt").exists()
 
     def test_scene_roundtrip_via_loader(self, tmp_path):
         spec = _mover_spec(seed=3)
