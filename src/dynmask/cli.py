@@ -21,14 +21,13 @@ from .evaluation import MetricReport
 from .geometry import epipolar_residual_batch, essential_from_poses, \
     project_dynamic_world_batch
 from .pipeline import PipelineConfig, run
-from .tensor_io import (SceneFormatError, _read_header, load_scene, read_pgm,
-                        read_stack, write_json, write_pgm, write_tensor)
+from .tensor_io import (SceneFormatError, _read_header, frame_name,
+                        load_scene, read_pgm, read_stack, stale_frames,
+                        write_json, write_pgm, write_tensor)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-# file name of frame f's mask in a prediction directory
-MASK_NAME = "mask_{:04d}.pgm"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,10 +116,10 @@ def cmd_mask(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # masks an earlier run wrote for a longer scene would fail its eval
-    for path in _extra_masks(out, bundle.frames):
+    for path in stale_frames(out, "mask", bundle.frames, "pgm"):
         path.unlink()
     for f in range(bundle.frames):
-        write_pgm(result.masks[f], out / MASK_NAME.format(f))
+        write_pgm(result.masks[f], out / frame_name("mask", f, "pgm"))
     purification.write_ply(result.cloud, out / "cloud.ply")
     write_json({
         "config": config.to_dict(),
@@ -138,20 +137,13 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _extra_masks(pred_dir: Path, frames: int) -> list[Path]:
-    """The `mask_*.pgm` files in `pred_dir` that name no frame of a
-    `frames`-frame scene, sorted."""
-    names = {MASK_NAME.format(f) for f in range(frames)}
-    return sorted(p for p in pred_dir.glob("mask_*.pgm") if p.name not in names)
-
-
 def _load_pred_masks(pred_dir: Path, shape: tuple[int, int, int]
                      ) -> np.ndarray:
     """The prediction masks of a scene of (T, H, W) `shape`, as bools."""
     frames, hw = shape[0], shape[1:]
-    names = [MASK_NAME.format(f) for f in range(frames)]
+    names = [frame_name("mask", f, "pgm") for f in range(frames)]
     # a prediction made for a longer scene must not be scored silently
-    extra = _extra_masks(pred_dir, frames)
+    extra = stale_frames(pred_dir, "mask", frames, "pgm")
     if extra:
         raise SceneFormatError(
             f"unexpected prediction mask {extra[0]}: the scene has "

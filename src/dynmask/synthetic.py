@@ -18,7 +18,6 @@ frame, ...), so output bytes depend only on the spec, never on call order.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -34,8 +33,6 @@ from .tensor_io import (SceneBundle, SceneFormatError, json_object,
 
 RAY_EPS = 1e-6
 PLANE_EPS = 1e-12
-# a frame file of a stack: (prefix, extension) of ``<prefix>_NNNN.<ext>``
-_FRAME_FILE = re.compile(r"(.+)_\d{4,}\.(\w+)")
 # logit emitted where the rendered depth carries no noise at all
 NOISELESS_LOGIT = 40.0
 
@@ -229,11 +226,6 @@ def _camera_rays(pixels: np.ndarray, cam: CameraModel) -> _Rays:
                  _intersect_plane(origin, dirs, 1, FLOOR_Y))
 
 
-def _rays_key(cam: CameraModel) -> tuple:
-    """What a camera's `_Rays` depend on: intrinsics, rotation, centre y, z."""
-    return (cam.K.tobytes(), cam.R.tobytes(), *cam.center[1:].tolist())
-
-
 def _intersect_plane(origin, dirs, axis, value):
     """Ray parameter of each hit with the plane x[axis] = value; inf = miss."""
     d = dirs[:, axis]
@@ -412,14 +404,11 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
     dynamic_color = np.concatenate([np.zeros(3, dtype=bool), dynamic])
     us, vs = np.meshgrid(np.arange(w), np.arange(h))
     pixels = np.column_stack([us.ravel(), vs.ravel()])
-    # every camera of the track shares its rays with those of the same key
-    rays: dict[tuple, _Rays] = {}
+    # the track's cameras differ only in their centre's x, so they share
+    # the rays of the first
+    rays = _camera_rays(pixels, cams[0])
     for f, cam in enumerate(cams):
-        ray_key = _rays_key(cam)
-        if ray_key not in rays:
-            rays[ray_key] = _camera_rays(pixels, cam)
-        flat_depth, hit, color = _render_frame(spec, cam.center,
-                                               rays[ray_key], f)
+        flat_depth, hit, color = _render_frame(spec, cam.center, rays, f)
         depth = flat_depth.reshape(h, w)
         true_depths[f] = depth
         images[f] = palette[color].reshape(h, w, 3)
@@ -454,24 +443,7 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
     if out_dir is not None:
         save_scene(bundle, out_dir)
         save_ground_truth(gt, out_dir, spec)
-        # a longer scene generated here before leaves frames past this one's
-        for path in _unlisted_frames(Path(out_dir)):
-            path.unlink()
     return bundle, gt
-
-
-def _unlisted_frames(scene_dir: Path) -> list[Path]:
-    """Files in `scene_dir` named ``<prefix>_NNNN.<ext>`` after a stack
-    that scene.json or gt.json lists, but listed by neither, sorted."""
-    listed = {name for manifest in ("scene.json", "gt.json")
-              for value in read_manifest(scene_dir / manifest).values()
-              if isinstance(value, list)
-              for name in value if isinstance(name, str)}
-    stacks = {_FRAME_FILE.fullmatch(name).groups() for name in listed}
-    return sorted(path for path in scene_dir.iterdir()
-                  if path.name not in listed
-                  and (match := _FRAME_FILE.fullmatch(path.name))
-                  and match.groups() in stacks)
 
 
 def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:

@@ -14,7 +14,9 @@ or regenerated file by file.  Every per-frame stack, in ``scene.json`` and
 in the generator's ``gt.json`` alike, is one file per frame named
 ``<prefix>_<frame:04d>.<ext>`` and listed under the stack's manifest key;
 :func:`write_stack` and :func:`read_stack` are the only code that writes
-and checks that layout.
+and checks that layout.  :func:`frame_name` is the one frame file name,
+and :func:`stale_frames` the one rule for the frames a shorter stack
+leaves behind; the CLI's prediction masks use both.
 
 Every value read from JSON (config, spec, ``scene.json``, ``gt.json``)
 passes one checker, :func:`json_value`, :func:`json_vector` and
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -358,16 +361,35 @@ def read_manifest(path: Path) -> dict:
     return manifest
 
 
+def frame_name(prefix: str, f: int, ext: str) -> str:
+    """Name of frame `f` of the stack `prefix`: ``<prefix>_<f:04d>.<ext>``."""
+    return f"{prefix}_{f:04d}.{ext}"
+
+
+def stale_frames(directory: Path, prefix: str, frames: int,
+                 ext: str) -> list[Path]:
+    """Files in `directory` named ``<prefix>_<4 or more digits>.<ext>``
+    that are not one of the first `frames` frames, sorted."""
+    frame = re.compile(rf"{re.escape(prefix)}_\d{{4,}}\.{re.escape(ext)}")
+    names = {frame_name(prefix, f, ext) for f in range(frames)}
+    return sorted(path for path in directory.glob(f"{prefix}_*.{ext}")
+                  if path.name not in names and frame.fullmatch(path.name))
+
+
 def write_stack(stack: np.ndarray, out_dir: Path, prefix: str,
                 ext: str = "dmt") -> list[str]:
-    """Write frame f of `stack` to ``<prefix>_<f:04d>.<ext>``.
+    """Write frame f of `stack` to ``frame_name(prefix, f, ext)``.
 
-    ``pgm`` frames are masks.  Returns the names for the manifest's list.
+    ``pgm`` frames are masks.  A longer stack written here before leaves
+    frames past this one's; they are removed, and no other file is.
+    Returns the names for the manifest's list.
     """
     write = write_pgm if ext == "pgm" else write_tensor
-    names = [f"{prefix}_{f:04d}.{ext}" for f in range(len(stack))]
+    names = [frame_name(prefix, f, ext) for f in range(len(stack))]
     for frame, name in zip(stack, names):
         write(frame, out_dir / name)
+    for path in stale_frames(out_dir, prefix, len(stack), ext):
+        path.unlink()
     return names
 
 

@@ -250,6 +250,16 @@ class TestMask:
             f"mask_{f:04d}.pgm" for f in range(6)]
         assert main(["eval", str(out), str(tmp_path / "scene6")]) == 0
 
+    def test_keeps_files_that_are_no_frame_mask(self, tmp_path, scene_dir):
+        # only numbered masks past the scene's frames are removed
+        out = tmp_path / "pred"
+        out.mkdir()
+        others = ["mask_notes.pgm", "mask_7.pgm", "mask_0099.png"]
+        for name in others:
+            (out / name).write_text("kept")
+        assert main(["mask", str(scene_dir), "--out", str(out)]) == 0
+        assert all((out / name).read_text() == "kept" for name in others)
+
     def test_matches_library_run(self, scene_dir, pred_dir):
         bundle = load_scene(scene_dir)
         result = run(bundle, PipelineConfig())
@@ -413,6 +423,18 @@ class TestEval:
         shutil.copy(longer / "mask_0000.pgm", longer / "mask_0099.pgm")
         assert main(["eval", str(longer), str(scene_dir)]) == 2
         assert str(longer / "mask_0099.pgm") in capsys.readouterr().err
+
+    def test_ignores_files_that_are_no_frame_mask(self, tmp_path, scene_dir,
+                                                  pred_dir):
+        extra = tmp_path / "pred"
+        shutil.copytree(pred_dir, extra)
+        for name in ("mask_notes.pgm", "mask_7.pgm"):
+            (extra / name).write_text("not a mask")
+        assert main(["eval", str(extra), str(scene_dir)]) == 0
+        assert main(["eval", str(pred_dir), str(scene_dir),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert ((extra / "report.json").read_bytes()
+                == (tmp_path / "report.json").read_bytes())
 
     @pytest.mark.parametrize("header", [b"P5\nab 24\n255\n",
                                         b"P5\n-32 24\n255\n",

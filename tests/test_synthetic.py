@@ -17,8 +17,8 @@ import pytest
 from scipy import ndimage
 
 from dynmask import attention, purification, synthetic
-from dynmask.geometry import (CameraModel, project_dynamic_world_batch,
-                              project_points, unproject_pixels)
+from dynmask.geometry import (project_dynamic_world_batch, project_points,
+                              unproject_pixels)
 from dynmask.synthetic import (_SPEC_KEYS, FLOOR_Y, NOISE_AMP, NOISE_BASE,
                                SIGNAL_HEADS, WALL_Z, MoverSpec, SceneSpec,
                                _sigma_map, corpus_specs, generate,
@@ -249,6 +249,9 @@ _ORACLE_SPECS = {
     "static-mover": _mover_spec(frames=4, velocity=(0.0, 0.0, 0.0)),
     "coincident": _coincident_spec(),
 }
+# CI's bounded-memory scene is corpus member 0 at 640x480x12
+_TRACK_SPECS = {**_ORACLE_SPECS, "ci-640x480x12": corpus_specs(
+    1, frames=12, width=640, height=480)[0]}
 
 
 def _assert_frames_match_oracle(spec, bundle, gt):
@@ -280,7 +283,7 @@ class TestSharedRays:
             bundle.images[on], np.broadcast_to(
                 np.float32([0.9, 0.2, 0.1]), (int(on.sum()), 3)))
 
-    def _count_ray_calls(self, monkeypatch):
+    def test_rays_computed_once_per_scene(self, monkeypatch):
         calls = []
         cast = synthetic._ray_directions
 
@@ -289,38 +292,19 @@ class TestSharedRays:
             return cast(pixels, cam)
 
         monkeypatch.setattr(synthetic, "_ray_directions", recorded)
-        return calls
-
-    def test_rays_computed_once_per_scene(self, monkeypatch):
-        calls = self._count_ray_calls(monkeypatch)
         spec = _mover_spec(frames=6)
         generate(spec)
         assert calls == [spec.width * spec.height]
 
-    @pytest.mark.parametrize("track", ["turning", "rising-dolly"])
-    def test_track_off_the_x_axis_casts_rays_per_pose(self, monkeypatch,
-                                                      track):
-        # a track that turns, or whose centre moves in y and z, shares no
-        # rays between frames, and each frame must still match its render
-        def cameras(spec):
-            out = []
-            for f in range(spec.frames):
-                yaw = 0.04 * f if track == "turning" else 0.0
-                R = np.array([[np.cos(yaw), 0.0, -np.sin(yaw)],
-                              [0.0, 1.0, 0.0],
-                              [np.sin(yaw), 0.0, np.cos(yaw)]])
-                t = (np.array([-0.1 * f, 0.0, 0.0]) if track == "turning"
-                     else np.array([0.0, 0.05 * f, -0.1 * f]))
-                out.append(CameraModel(fx=70.0, fy=70.0, cx=31.5, cy=23.5,
-                                       R=R, t=t))
-            return out
-
-        monkeypatch.setattr(SceneSpec, "cameras", cameras)
-        calls = self._count_ray_calls(monkeypatch)
-        spec = _box_spec()
-        bundle, gt = generate(spec)
-        assert calls == [spec.width * spec.height] * spec.frames
-        _assert_frames_match_oracle(spec, bundle, gt)
+    @pytest.mark.parametrize("name", sorted(_TRACK_SPECS))
+    def test_track_cameras_differ_only_in_centre_x(self, name):
+        # generate casts the first camera's rays for every frame, which
+        # holds while the track shares K, R and the centre's y and z
+        first, *rest = _TRACK_SPECS[name].cameras()
+        for cam in rest:
+            np.testing.assert_array_equal(cam.K, first.K)
+            np.testing.assert_array_equal(cam.R, first.R)
+            np.testing.assert_array_equal(cam.center[1:], first.center[1:])
 
 
 class TestRigidConsistency:

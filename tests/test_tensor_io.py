@@ -9,7 +9,8 @@ from dynmask import tensor_io
 from dynmask.geometry import CameraModel
 from dynmask.tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
                                load_scene, read_pgm, read_tensor, save_scene,
-                               validate_bundle, write_pgm, write_tensor)
+                               stale_frames, validate_bundle, write_pgm,
+                               write_stack, write_tensor)
 
 
 class TestWriteAtomic:
@@ -338,6 +339,39 @@ class TestSceneBundle:
         save_scene(_tiny_bundle(), tmp_path / "scene")
         text = (tmp_path / "scene" / "scene.json").read_text()
         assert text.index('"cameras"') < text.index('"frames"') < text.index('"width"')
+
+
+class TestStackFrames:
+    """A stack written over a longer one removes that one's later frames,
+    and no other file."""
+
+    def test_shorter_stack_removes_its_later_frames(self, tmp_path):
+        for prefix in ("img", "depth"):
+            write_stack(np.ones((5, 2, 3)), tmp_path, prefix)
+        names = write_stack(np.zeros((3, 2, 3)), tmp_path, "img")
+        assert names == [f"img_{f:04d}.dmt" for f in range(3)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            names + [f"depth_{f:04d}.dmt" for f in range(5)])
+        assert (read_tensor(tmp_path / "img_0002.dmt") == 0).all()
+
+    def test_other_files_kept(self, tmp_path):
+        others = ["depth_0004.dmt", "gt_img_0004.dmt", "img_0004.pgm",
+                  "img_0004.txt", "img_0004.dmt.bak", "img_7.dmt",
+                  "img_notes.dmt", "notes.txt"]
+        for name in others:
+            (tmp_path / name).write_text("kept")
+        write_stack(np.ones((3, 2, 3)), tmp_path, "img")
+        assert all((tmp_path / name).read_text() == "kept" for name in others)
+
+    def test_five_digit_frames_are_frames(self, tmp_path):
+        (tmp_path / "img_10000.dmt").write_text("stale")
+        assert stale_frames(tmp_path, "img", 3, "dmt") == [
+            tmp_path / "img_10000.dmt"]
+        write_stack(np.ones((3, 2, 3)), tmp_path, "img")
+        assert not (tmp_path / "img_10000.dmt").exists()
+
+    def test_missing_directory_has_no_stale_frames(self, tmp_path):
+        assert stale_frames(tmp_path / "absent", "mask", 3, "pgm") == []
 
 
 def test_write_json_stable(tmp_path):
