@@ -447,7 +447,7 @@ def generate(spec: SceneSpec, out_dir=None) -> tuple[SceneBundle, GroundTruth]:
 
 
 def save_ground_truth(gt: GroundTruth, out_dir, spec: SceneSpec) -> None:
-    """Write gt.json and its per-frame stacks next to a saved scene."""
+    """Write gt.json and its two stack files next to a saved scene."""
     out = Path(out_dir)
     write_json({
         "seed": spec.seed,

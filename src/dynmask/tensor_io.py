@@ -10,13 +10,15 @@ Everything on disk goes through two formats:
 
 A scene directory is self-describing: a ``scene.json`` manifest names every
 tensor file plus the camera parameters, so a bundle can be diffed, copied,
-or regenerated file by file.  Every per-frame stack, in ``scene.json`` and
-in the generator's ``gt.json`` alike, is one file per frame named
-``<prefix>_<frame:04d>.<ext>`` and listed under the stack's manifest key;
+or regenerated file by file.  Every (T, ...) stack, in ``scene.json`` and
+in the generator's ``gt.json`` alike, is one file ``<prefix>.<ext>`` named
+under the stack's manifest key; a mask stack is one (T*H, W) PGM.
 :func:`write_stack` and :func:`read_stack` are the only code that writes
-and checks that layout.  :func:`frame_name` is the one frame file name,
-and :func:`stale_frames` the one rule for the frames a shorter stack
-leaves behind; the CLI's prediction masks use both.
+and checks that layout.  A list under a stack key is the one-file-per-frame
+layout of earlier versions, which is refused: such a directory must be
+regenerated.  The CLI's prediction masks stay one PGM per frame;
+:func:`frame_name` is that frame file name and :func:`stale_frames` the
+rule for the frames a shorter run leaves behind.
 
 Every value read from JSON (config, spec, ``scene.json``, ``gt.json``)
 passes one checker, :func:`json_value`, :func:`json_vector` and
@@ -27,6 +29,7 @@ number beyond float range is not finite.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import re
@@ -128,44 +131,49 @@ def write_tensor(tensor: np.ndarray, path: str | Path) -> None:
     The array is converted to float32, C order.  Validation happens before
     the file is opened, so a rejected tensor never leaves a partial file.
     """
-    arr = np.ascontiguousarray(tensor, dtype=np.float32)
+    arr = np.ascontiguousarray(tensor, dtype="<f4")
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:
         raise TensorFormatError(f"tensor rank {arr.ndim} outside 1..{MAX_NDIM}")
     if any(d <= 0 for d in arr.shape):
         raise TensorFormatError(f"zero extent in shape {arr.shape}")
-    if np.isnan(arr).any():
+    if np.isnan(arr.min()):  # min propagates NaN
         raise TensorFormatError("NaN in tensor payload")
 
     header = MAGIC + bytes([arr.ndim])
     header += np.asarray(arr.shape, dtype="<u4").tobytes()
-    write_atomic(path, header, arr.astype("<f4", copy=False).tobytes())
+    write_atomic(path, header, arr.data)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
     """Read a dmt tensor; exact inverse of :func:`write_tensor`."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise TensorFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 5:
-        raise TensorFormatError(f"{path}: truncated header")
-    ndim = raw[4]
-    if ndim < 1 or ndim > MAX_NDIM:
-        raise TensorFormatError(f"{path}: rank {ndim} outside 1..{MAX_NDIM}")
-    if len(raw) < 5 + 4 * ndim:
-        raise TensorFormatError(f"{path}: truncated extent table")
-    shape = np.frombuffer(raw, dtype="<u4", count=ndim, offset=5)
-    if (shape == 0).any():
-        raise TensorFormatError(f"{path}: zero extent in {tuple(shape)}")
-    count = int(np.prod(shape.astype(np.int64)))
-    expect = 5 + 4 * ndim + 4 * count
-    if len(raw) != expect:
-        raise TensorFormatError(
-            f"{path}: payload size {len(raw)} bytes, expected {expect}")
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=5 + 4 * ndim)
-    if np.isnan(data).any():
+        head = f.read(5)
+        if head[:4] != MAGIC:
+            raise TensorFormatError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 5:
+            raise TensorFormatError(f"{path}: truncated header")
+        ndim = head[4]
+        if ndim < 1 or ndim > MAX_NDIM:
+            raise TensorFormatError(
+                f"{path}: rank {ndim} outside 1..{MAX_NDIM}")
+        table = f.read(4 * ndim)
+        if len(table) < 4 * ndim:
+            raise TensorFormatError(f"{path}: truncated extent table")
+        shape = tuple(int(d) for d in np.frombuffer(table, dtype="<u4"))
+        if 0 in shape:
+            raise TensorFormatError(f"{path}: zero extent in {shape}")
+        count = math.prod(shape)
+        expect = 5 + 4 * ndim + 4 * count
+        size = os.fstat(f.fileno()).st_size
+        if size != expect:
+            raise TensorFormatError(
+                f"{path}: payload size {size} bytes, expected {expect}")
+        data = np.empty(shape, dtype="<f4")
+        if f.readinto(data) != data.nbytes:
+            raise TensorFormatError(f"{path}: payload ended early")
+    if np.isnan(data.min()):  # min propagates NaN
         raise TensorFormatError(f"{path}: NaN in payload")
-    return data.reshape(tuple(int(d) for d in shape)).copy()
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +186,16 @@ def write_pgm(image: np.ndarray, path: str | Path) -> None:
     Boolean input maps to 0/255.
     """
     if image.dtype == bool:
-        data = np.where(image, 255, 0).astype(np.uint8)
+        data = np.where(image, np.uint8(255), np.uint8(0))
     else:
-        data = np.asarray(image, dtype=np.uint8)
+        data = np.ascontiguousarray(image, dtype=np.uint8)
     if data.ndim != 2:
         raise TensorFormatError("PGM image must be 2-D")
     h, w = data.shape
-    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii"), data.data)
+
+
+_SPACE = b" \t\n\r\v\f"  # what bytes.isspace() accepts
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -192,27 +203,32 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
     The header is ``P5``, width, height and maxval 255 as whole numbers,
     separated by whitespace or ``#`` comments and ended by one whitespace
-    byte; the payload after it must be exactly width * height bytes.
+    byte; the payload after it must be exactly width * height bytes.  The
+    file is read into one array, and the image is a view of its payload.
     """
     with open(path, "rb") as f:
-        raw = f.read()
+        data = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        if f.readinto(data) != data.size:
+            raise TensorFormatError(f"{path}: file ended early")
+    raw = data.data  # bytes as ints, no copy
     if raw[:2] != b"P5":
-        raise TensorFormatError(f"{path}: bad PGM magic {raw[:2]!r}, wanted b'P5'")
+        raise TensorFormatError(
+            f"{path}: bad PGM magic {bytes(raw[:2])!r}, wanted b'P5'")
     fields: list[bytes] = []
     i = 2
     while len(fields) < 3:
-        while i < len(raw) and raw[i : i + 1].isspace():
+        while i < len(raw) and raw[i] in _SPACE:
             i += 1
         if raw[i : i + 1] == b"#":
             while i < len(raw) and raw[i] != 0x0A:
                 i += 1
             continue
         j = i
-        while j < len(raw) and not raw[j : j + 1].isspace():
+        while j < len(raw) and raw[j] not in _SPACE:
             j += 1
         if j == i:
             raise TensorFormatError(f"{path}: truncated PGM header")
-        fields.append(raw[i:j])
+        fields.append(bytes(raw[i:j]))
         i = j
     if not all(field.isdigit() for field in fields):
         raise TensorFormatError(f"{path}: PGM header {fields} is not three "
@@ -226,7 +242,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if size != w * h:
         raise TensorFormatError(
             f"{path}: PGM payload size {max(size, 0)} bytes, expected {w * h}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=i + 1).reshape(h, w).copy()
+    return data[i + 1:].reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +360,7 @@ def _manifest_count(manifest: dict, key: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-frame stacks: the one on-disk layout of scene.json and gt.json
+# stacks: the one on-disk layout of scene.json and gt.json
 # ---------------------------------------------------------------------------
 
 def read_manifest(path: Path) -> dict:
@@ -362,7 +378,8 @@ def read_manifest(path: Path) -> dict:
 
 
 def frame_name(prefix: str, f: int, ext: str) -> str:
-    """Name of frame `f` of the stack `prefix`: ``<prefix>_<f:04d>.<ext>``."""
+    """Name of frame `f` of a one-file-per-frame series such as the
+    prediction masks: ``<prefix>_<f:04d>.<ext>``."""
     return f"{prefix}_{f:04d}.{ext}"
 
 
@@ -377,50 +394,57 @@ def stale_frames(directory: Path, prefix: str, frames: int,
 
 
 def write_stack(stack: np.ndarray, out_dir: Path, prefix: str,
-                ext: str = "dmt") -> list[str]:
-    """Write frame f of `stack` to ``frame_name(prefix, f, ext)``.
+                ext: str = "dmt") -> str:
+    """Write the (T, ...) `stack` as one file ``<prefix>.<ext>``.
 
-    ``pgm`` frames are masks.  A longer stack written here before leaves
-    frames past this one's; they are removed, and no other file is.
-    Returns the names for the manifest's list.
+    A ``pgm`` stack is (T, H, W) masks, written as one (T*H, W) image.
+    Returns the file name for the manifest.
     """
-    write = write_pgm if ext == "pgm" else write_tensor
-    names = [frame_name(prefix, f, ext) for f in range(len(stack))]
-    for frame, name in zip(stack, names):
-        write(frame, out_dir / name)
-    for path in stale_frames(out_dir, prefix, len(stack), ext):
-        path.unlink()
-    return names
+    name = f"{prefix}.{ext}"
+    if ext == "pgm":
+        write_pgm(stack.reshape(-1, stack.shape[-1]), out_dir / name)
+    else:
+        write_tensor(stack, out_dir / name)
+    return name
 
 
 def read_stack(root: Path, manifest: dict, key: str, frames: int,
                frame_shape: tuple[int, ...] | None = None,
                ext: str = "dmt") -> np.ndarray:
-    """Read the stack `manifest[key]` lists; inverse of write_stack.
+    """Read the stack file `manifest[key]` names; inverse of write_stack.
 
-    The list must name one existing file per frame, all of one shape
-    (`frame_shape` when given).  PGM frames come back as bool masks.
+    The file must hold `frames` frames, each of `frame_shape` when given.
+    A PGM stack comes back as (T, H, W) bool masks.
     """
-    names = manifest.get(key)
-    if not isinstance(names, list) or not all(isinstance(n, str)
-                                              for n in names):
+    name = manifest.get(key)
+    if isinstance(name, list):
         raise SceneFormatError(
-            f"manifest {key!r} is missing or not a list of file names")
-    if len(names) != frames:
-        raise SceneFormatError(f"{len(names)} {key} for {frames} frames")
-    arrays = []
-    for name in names:
-        path = root / name
-        if not path.is_file():
-            raise SceneFormatError(f"missing {key} file {path}")
-        arrays.append(read_pgm(path) > 127 if ext == "pgm"
-                      else read_tensor(path))
-    want = arrays[0].shape if frame_shape is None else frame_shape
-    for name, arr in zip(names, arrays):
-        if arr.shape != want:
-            raise SceneFormatError(f"{key} file {name} shape {arr.shape} "
-                                   f"!= {want}")
-    return np.stack(arrays)
+            f"manifest {key!r} lists one file per frame, the layout of "
+            "earlier versions; regenerate the scene with `dynmask generate`")
+    if not isinstance(name, str):
+        raise SceneFormatError(
+            f"manifest {key!r} is missing or not a file name")
+    path = root / name
+    if not path.is_file():
+        raise SceneFormatError(f"missing {key} file {path}")
+    if ext == "pgm":
+        image = read_pgm(path)
+        # thresholded in place: the masks share the image's buffer
+        mask = np.greater(image, 127, out=image.view(bool))
+        rows = mask.shape[0]
+        if rows % frames:
+            raise SceneFormatError(f"{key} file {path}: {rows} rows do not "
+                                   f"split into {frames} frames")
+        stack = mask.reshape(frames, rows // frames, mask.shape[1])
+    else:
+        stack = read_tensor(path)
+    if stack.shape[0] != frames:
+        raise SceneFormatError(f"{key} file {path} holds {stack.shape[0]} "
+                               f"frames, expected {frames}")
+    if frame_shape is not None and stack.shape[1:] != tuple(frame_shape):
+        raise SceneFormatError(f"{key} file {path} frame shape "
+                               f"{stack.shape[1:]} != {tuple(frame_shape)}")
+    return stack
 
 
 # (bundle field, manifest key, file prefix) of each scene.json tensor stack
@@ -484,9 +508,9 @@ def _read_header(root: Path) -> _SceneHeader:
 def load_scene(scene_dir: str | Path) -> SceneBundle:
     """Load and fully validate a scene bundle from a directory.
 
-    Reads the header (:func:`_read_header`), every tensor stack and the
-    optional ground-truth masks, then checks the bundle with
-    :func:`validate_bundle` and its extents against the header's.
+    Reads the header (:func:`_read_header`) and every tensor stack, checks
+    the bundle with :func:`validate_bundle` and its extents against the
+    header's, then reads the optional ground-truth masks at that size.
     Manifest keys the loader does not read are ignored, so directories
     written with keys that later versions dropped still load.
     """
@@ -495,16 +519,16 @@ def load_scene(scene_dir: str | Path) -> SceneBundle:
     t, manifest = header.frames, header.manifest
     stacks = {field: read_stack(root, manifest, key, t)
               for field, key, _ in _SCENE_STACKS}
-    bundle = SceneBundle(
-        **stacks, cameras=header.cameras, patch=header.patch,
-        gt_masks=read_stack(root, manifest, "gt_masks", t, ext="pgm")
-        if "gt_masks" in manifest else None)
+    bundle = SceneBundle(**stacks, cameras=header.cameras, patch=header.patch)
     validate_bundle(bundle)
     expect = (header.height, header.width, header.heads)
     if (bundle.height, bundle.width, bundle.heads) != expect:
         raise SceneFormatError(
             f"manifest height, width, heads {expect} != "
             f"tensors' {(bundle.height, bundle.width, bundle.heads)}")
+    if "gt_masks" in manifest:
+        bundle.gt_masks = read_stack(root, manifest, "gt_masks", t,
+                                     expect[:2], ext="pgm")
     return bundle
 
 

@@ -281,32 +281,41 @@ def corrupt(bundle: SceneBundle, outlier_points: int = 0,
     return out
 
 
-def _set_pixel(path, value: float) -> None:
-    """Overwrite pixel (0, 0) of the tensor file at `path`."""
+def _set_pixel(path, frame: int, value: float) -> None:
+    """Overwrite pixel (0, 0) of frame `frame` of the stack file at `path`."""
     arr = read_tensor(path)
-    arr[0, 0] = value
+    arr[frame, 0, 0] = value
     write_tensor(arr, path)
+
+
+def _rewrite(path, change) -> None:
+    """Replace the stack file at `path` with `change(stack)`."""
+    write_tensor(change(read_tensor(path)), path)
 
 
 # malformed gt.json directories: (gt.json manifest, scene directory) -> None
 GT_BREAKAGES = {
     "missing-key": lambda gt, root: gt.pop("instances"),
-    "short-list": lambda gt, root: gt["instances"].pop(),
-    "missing-file": lambda gt, root: (root / gt["true_depths"][1]).unlink(),
-    "wrong-hw": lambda gt, root: [write_tensor(np.ones((8, 8)), root / name)
-                                  for name in gt["true_depths"]],
+    # a stack file one frame short of the scene
+    "short-list": lambda gt, root: _rewrite(root / gt["instances"],
+                                            lambda arr: arr[:-1]),
+    # the one-file-per-frame layout of earlier versions
+    "per-frame-list": lambda gt, root: gt.update(
+        true_depths=[gt["true_depths"]]),
+    "missing-file": lambda gt, root: (root / gt["true_depths"]).unlink(),
+    "wrong-hw": lambda gt, root: _rewrite(
+        root / gt["true_depths"], lambda arr: np.ones((len(arr), 8, 8))),
     "positions-shape": lambda gt, root: gt["movers"][0]["positions"].pop(),
     "position-strings": lambda gt, root: gt["movers"][0].update(
         positions=[list(map(str, p)) for p in gt["movers"][0]["positions"]]),
-    "depth-negated": lambda gt, root: [
-        write_tensor(-read_tensor(root / name), root / name)
-        for name in gt["true_depths"]],
+    "depth-negated": lambda gt, root: _rewrite(root / gt["true_depths"],
+                                               np.negative),
     "depth-infinite": lambda gt, root: _set_pixel(
-        root / gt["true_depths"][1], np.inf),
+        root / gt["true_depths"], 1, np.inf),
     "instance-past-movers": lambda gt, root: _set_pixel(
-        root / gt["instances"][0], len(gt["movers"])),
+        root / gt["instances"], 0, len(gt["movers"])),
     "instance-below-static": lambda gt, root: _set_pixel(
-        root / gt["instances"][0], -2),
+        root / gt["instances"], 0, -2),
     "instance-fraction": lambda gt, root: _set_pixel(
-        root / gt["instances"][0], 0.5),
+        root / gt["instances"], 0, 0.5),
 }

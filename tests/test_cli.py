@@ -53,7 +53,10 @@ def _digest_dir(root):
 
 
 # the input tensors of a scene, which only `dynmask mask` reads
-INPUT_PREFIXES = ("img_", "depth_", "conf_", "attn_")
+INPUT_FILES = ("img.dmt", "depth.dmt", "conf.dmt", "attn.dmt")
+# every file of a generated scene directory: one file per stack
+SCENE_FILES = {*INPUT_FILES, "gt_mask.pgm", "gt_depth.dmt", "gt_inst.dmt",
+               "scene.json", "gt.json"}
 
 
 def _scene_argv(command, scene, pred_dir, out):
@@ -128,10 +131,13 @@ class TestGenerate:
     def test_scene_layout(self, scene_dir):
         manifest = json.loads((scene_dir / "scene.json").read_text())
         assert manifest["frames"] == SPEC["frames"]
-        assert (scene_dir / "gt.json").exists()
-        for name in (manifest["images"] + manifest["depths"]
-                     + manifest["confidences"] + manifest["attentions"]):
-            assert (scene_dir / name).exists()
+        gt = json.loads((scene_dir / "gt.json").read_text())
+        # each stack is one file that its manifest names
+        assert {manifest[key] for key in ("images", "depths", "confidences",
+                                          "attentions", "gt_masks")} | {
+            gt["true_depths"], gt["instances"], "scene.json", "gt.json"
+        } == SCENE_FILES
+        assert {p.name for p in scene_dir.iterdir()} == SCENE_FILES
         # generated scenes load back cleanly
         bundle = load_scene(scene_dir)
         assert bundle.frames == SPEC["frames"]
@@ -316,9 +322,9 @@ class TestMask:
         # infinite and empty every mask with exit 0
         bad = tmp_path / "bad"
         shutil.copytree(scene_dir, bad)
-        depth = read_tensor(bad / "depth_0000.dmt")
-        depth[0, 0] = np.inf
-        write_tensor(depth, bad / "depth_0000.dmt")
+        depth = read_tensor(bad / "depth.dmt")
+        depth[0, 0, 0] = np.inf
+        write_tensor(depth, bad / "depth.dmt")
         out = tmp_path / "out"
         assert main(["mask", str(bad), "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
@@ -461,11 +467,30 @@ class TestEval:
                                       capsys):
         broken = tmp_path / "scene"
         shutil.copytree(scene_dir, broken)
-        write_pgm(np.zeros((8, 8), dtype=bool), broken / "gt_mask_0001.pgm")
+        write_pgm(np.zeros((SPEC["frames"] * 8, 8), dtype=bool),
+                  broken / "gt_mask.pgm")
         assert main(["eval", str(pred_dir), str(broken),
                      "--out", str(tmp_path / "report.json")]) == 2
-        assert "gt_mask_0001.pgm" in capsys.readouterr().err
+        assert str(broken / "gt_mask.pgm") in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("rows", [
+        SPEC["frames"] * SPEC["height"] + 1,
+        SPEC["frames"] * (SPEC["height"] + 1),
+    ], ids=["not-whole-frames", "taller-frames"])
+    @pytest.mark.parametrize("command", ["mask", "eval"])
+    def test_gt_mask_rows_not_frames_times_height(self, tmp_path, scene_dir,
+                                                  pred_dir, capsys, command,
+                                                  rows):
+        broken = tmp_path / "scene"
+        shutil.copytree(scene_dir, broken)
+        write_pgm(np.zeros((rows, SPEC["width"]), dtype=bool),
+                  broken / "gt_mask.pgm")
+        out = tmp_path / "out"
+        assert main(_scene_argv(command, broken, pred_dir, out)) == 2
+        err = capsys.readouterr().err
+        assert f"gt_masks file {broken / 'gt_mask.pgm'}" in err
+        assert not out.exists()
 
     def test_null_fields_without_ground_truth(self, tmp_path, scene_dir,
                                               pred_dir):
@@ -542,9 +567,8 @@ def test_eval_and_residuals_need_no_input_tensors(tmp_path, scene_dir,
     # same bytes; mask still needs them
     bare = tmp_path / "bare"
     shutil.copytree(scene_dir, bare)
-    for path in bare.iterdir():
-        if path.name.startswith(INPUT_PREFIXES):
-            path.unlink()
+    for name in INPUT_FILES:
+        (bare / name).unlink()
     outputs = {root: _eval_and_residuals(root, pred_dir,
                                          tmp_path / f"out-{root.name}")
                for root in (scene_dir, bare)}
@@ -554,13 +578,37 @@ def test_eval_and_residuals_need_no_input_tensors(tmp_path, scene_dir,
     assert "dynmask mask: error: missing images file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mask", "eval", "residuals"])
+def test_per_frame_layout_is_data_error(tmp_path, scene_dir, pred_dir,
+                                        capsys, command):
+    # earlier versions listed one file per frame under each stack key; such
+    # a directory is refused with a pointer to regenerate it
+    old = tmp_path / "old"
+    shutil.copytree(scene_dir, old)
+    for manifest, keys in (("scene.json", ("images", "depths", "confidences",
+                                           "attentions", "gt_masks")),
+                           ("gt.json", ("true_depths", "instances"))):
+        raw = json.loads((old / manifest).read_text())
+        for key in keys:
+            stem = raw[key].rsplit(".", 1)
+            raw[key] = [f"{stem[0]}_{f:04d}.{stem[1]}"
+                        for f in range(SPEC["frames"])]
+        (old / manifest).write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(_scene_argv(command, old, pred_dir, out)) == 2
+    err = capsys.readouterr().err
+    assert f"dynmask {command}: error: manifest '" in err
+    assert "lists one file per frame" in err and "dynmask generate" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "residuals"])
 def test_no_input_tensor_opened(tmp_path, scene_dir, pred_dir, capsys,
                                 monkeypatch, command):
     opened = []
 
     def spy(path):
-        assert not Path(path).name.startswith(INPUT_PREFIXES), \
+        assert Path(path).name not in INPUT_FILES, \
             f"{command} opened the input tensor {path}"
         opened.append(Path(path).name)
         return read_tensor(path)
@@ -569,8 +617,8 @@ def test_no_input_tensor_opened(tmp_path, scene_dir, pred_dir, capsys,
     assert main(_scene_argv(command, scene_dir, pred_dir,
                             tmp_path / "out")) == 0
     capsys.readouterr()
-    # the spy saw the ground truth that gt.json lists
-    assert any(name.startswith("gt_depth_") for name in opened)
+    # the spy saw the ground truth that gt.json names
+    assert "gt_depth.dmt" in opened
 
 
 class TestResiduals:
@@ -633,8 +681,7 @@ class TestResiduals:
         bare = tmp_path / "bare"
         shutil.copytree(scene_dir, bare)
         manifest = json.loads((bare / "scene.json").read_text())
-        for name in manifest.pop("gt_masks"):
-            (bare / name).unlink()
+        (bare / manifest.pop("gt_masks")).unlink()
         (bare / "scene.json").write_text(json.dumps(manifest))
         for root in (scene_dir, bare):
             assert main(["residuals", str(root),

@@ -516,13 +516,12 @@ class TestDeterminism:
         assert not np.array_equal(ba.attention, bb.attention)
 
     def _assert_every_file_named(self, root: Path):
+        # the two manifests and the one file per stack that they name
         named = {"scene.json", "gt.json"}
         for manifest in named.copy():
             raw = json.loads((root / manifest).read_text())
-            for value in raw.values():
-                if isinstance(value, list) and all(isinstance(v, str)
-                                                   for v in value):
-                    named.update(value)
+            named.update(v for v in raw.values() if isinstance(v, str))
+        assert len(named) == 9
         assert {p.name for p in root.iterdir()} == named
 
     def test_every_file_is_named_by_a_manifest(self, tmp_path):
@@ -532,7 +531,7 @@ class TestDeterminism:
         self._assert_every_file_named(tmp_path)
 
     def test_every_file_is_named_after_regenerating_shorter(self, tmp_path):
-        # the frames past the end of the earlier, longer scene must go
+        # a stack file holds every frame, so a longer scene leaves none
         generate(_mover_spec(seed=4, frames=9), tmp_path)
         spec = _mover_spec(seed=4)
         spec.depth_sigma = 0.02
@@ -540,14 +539,14 @@ class TestDeterminism:
         self._assert_every_file_named(tmp_path)
 
     def test_regenerating_keeps_other_files(self, tmp_path):
-        # only frame files of the scene's own stacks are removed
+        # generate replaces its own stack files and touches no other file
         generate(_mover_spec(seed=4, frames=8), tmp_path)
-        others = ["notes.txt", "img_0007.txt", "mask_0007.pgm", "img_7.dmt"]
+        others = ["notes.txt", "img_0007.dmt", "mask_0007.pgm", "img_7.dmt"]
         for name in others:
             (tmp_path / name).write_text("kept")
         generate(_mover_spec(seed=4, frames=6), tmp_path)
         assert all((tmp_path / name).read_text() == "kept" for name in others)
-        assert not (tmp_path / "img_0006.dmt").exists()
+        assert load_scene(tmp_path).frames == 6
 
     def test_scene_roundtrip_via_loader(self, tmp_path):
         spec = _mover_spec(seed=3)
@@ -578,6 +577,22 @@ class TestGroundTruthChecks:
         GT_BREAKAGES[breakage](manifest, broken)
         (broken / "gt.json").write_text(json.dumps(manifest))
         with pytest.raises(SceneFormatError):
+            load_ground_truth(broken, load_scene(broken).gt_masks.shape)
+
+    @pytest.mark.parametrize("breakage, match", [
+        ("short-list", r"instances file \S*gt_inst.dmt holds 3 frames, "
+                       "expected 4"),
+        ("per-frame-list",
+         "'true_depths' lists one file per frame.*dynmask generate"),
+    ])
+    def test_stack_errors_name_the_file_or_key(self, scene, tmp_path,
+                                               breakage, match):
+        broken = tmp_path / "scene"
+        shutil.copytree(scene, broken)
+        manifest = json.loads((broken / "gt.json").read_text())
+        GT_BREAKAGES[breakage](manifest, broken)
+        (broken / "gt.json").write_text(json.dumps(manifest))
+        with pytest.raises(SceneFormatError, match=match):
             load_ground_truth(broken, load_scene(broken).gt_masks.shape)
 
 

@@ -8,9 +8,9 @@ import pytest
 from dynmask import tensor_io
 from dynmask.geometry import CameraModel
 from dynmask.tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
-                               load_scene, read_pgm, read_tensor, save_scene,
-                               stale_frames, validate_bundle, write_pgm,
-                               write_stack, write_tensor)
+                               load_scene, read_pgm, read_stack, read_tensor,
+                               save_scene, stale_frames, validate_bundle,
+                               write_pgm, write_stack, write_tensor)
 
 
 class TestWriteAtomic:
@@ -257,9 +257,9 @@ class TestSceneBundle:
         # the container round-trips inf, the scene loader refuses it
         bundle = _tiny_bundle()
         save_scene(bundle, tmp_path / "scene")
-        depth = read_tensor(tmp_path / "scene" / "depth_0000.dmt")
-        depth[2, 3] = np.inf
-        write_tensor(depth, tmp_path / "scene" / "depth_0000.dmt")
+        depth = read_tensor(tmp_path / "scene" / "depth.dmt")
+        depth[0, 2, 3] = np.inf
+        write_tensor(depth, tmp_path / "scene" / "depth.dmt")
         with pytest.raises(SceneFormatError, match="non-finite.*depths"):
             load_scene(tmp_path / "scene")
 
@@ -277,15 +277,17 @@ class TestSceneBundle:
     def test_load_missing_tensor(self, tmp_path):
         bundle = _tiny_bundle()
         save_scene(bundle, tmp_path / "scene")
-        (tmp_path / "scene" / "depth_0001.dmt").unlink()
-        with pytest.raises(SceneFormatError, match="missing"):
+        (tmp_path / "scene" / "depth.dmt").unlink()
+        with pytest.raises(SceneFormatError, match="missing depths file"):
             load_scene(tmp_path / "scene")
 
     @pytest.mark.parametrize("where, value, match", [
         (("attentions",), DROP, "attentions"),
-        (("depths", 1), DROP, "1 depths for 2 frames"),
-        (("images", 1), 7, "images"),
-        (("gt_masks", 1), DROP, "gt_masks"),
+        # a list under a stack key is the per-frame layout of earlier versions
+        (("depths",), ["depth_0000.dmt"], "'depths' lists one file per frame"),
+        (("images",), 7, "'images' is missing or not a file name"),
+        (("gt_masks",), ["gt_mask_0000.pgm"],
+         "'gt_masks' lists one file per frame.*dynmask generate"),
         (("frames",), "2", "frames"),
         (("patch",), 2.5, "patch"),
         (("heads",), DROP, "heads"),
@@ -330,10 +332,52 @@ class TestSceneBundle:
             load_scene(tmp_path / "scene")
 
     def test_frames_of_one_stack_differ_in_shape(self, tmp_path):
-        save_scene(_tiny_bundle(), tmp_path / "scene")
-        write_tensor(np.ones((8, 6)), tmp_path / "scene" / "conf_0001.dmt")
-        with pytest.raises(SceneFormatError, match="conf_0001.dmt shape"):
-            load_scene(tmp_path / "scene")
+        # a stack whose frames differ from the images' in shape is refused;
+        # a reader that knows the frame shape names the file
+        root = tmp_path / "scene"
+        save_scene(_tiny_bundle(), root)
+        write_tensor(np.ones((2, 8, 6)), root / "conf.dmt")
+        with pytest.raises(SceneFormatError, match=r"confidence dims \(8, 6\)"):
+            load_scene(root)
+        manifest = json.loads((root / "scene.json").read_text())
+        with pytest.raises(SceneFormatError, match=(
+                rf"confidences file {root / 'conf.dmt'} frame shape "
+                r"\(8, 6\) != \(8, 12\)")):
+            read_stack(root, manifest, "confidences", 2, (8, 12))
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_stack_file_with_wrong_frame_count(self, tmp_path, frames):
+        root = tmp_path / "scene"
+        save_scene(_tiny_bundle(), root)
+        write_tensor(np.ones((frames, 8, 12)), root / "depth.dmt")
+        with pytest.raises(SceneFormatError, match=(
+                f"depths file {root / 'depth.dmt'} holds {frames} frames, "
+                "expected 2")):
+            load_scene(root)
+
+    @pytest.mark.parametrize("rows, match", [
+        (17, "17 rows do not split into 2 frames"),
+        (18, r"frame shape \(9, 12\) != \(8, 12\)"),
+    ])
+    def test_gt_mask_rows_not_frames_times_height(self, tmp_path, rows,
+                                                  match):
+        root = tmp_path / "scene"
+        save_scene(_tiny_bundle(), root)
+        write_pgm(np.zeros((rows, 12), dtype=bool), root / "gt_mask.pgm")
+        with pytest.raises(SceneFormatError, match=match) as err:
+            load_scene(root)
+        assert f"gt_masks file {root / 'gt_mask.pgm'}" in str(err.value)
+
+    def test_one_file_per_stack(self, tmp_path):
+        bundle = _tiny_bundle()
+        save_scene(bundle, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "attn.dmt", "conf.dmt", "depth.dmt", "gt_mask.pgm", "img.dmt",
+            "scene.json"]
+        # the masks are one PGM of the frames stacked top to bottom
+        np.testing.assert_array_equal(
+            read_pgm(tmp_path / "gt_mask.pgm") > 127,
+            bundle.gt_masks.reshape(-1, bundle.width))
 
     def test_manifest_is_sorted_json(self, tmp_path):
         save_scene(_tiny_bundle(), tmp_path / "scene")
@@ -342,17 +386,8 @@ class TestSceneBundle:
 
 
 class TestStackFrames:
-    """A stack written over a longer one removes that one's later frames,
-    and no other file."""
-
-    def test_shorter_stack_removes_its_later_frames(self, tmp_path):
-        for prefix in ("img", "depth"):
-            write_stack(np.ones((5, 2, 3)), tmp_path, prefix)
-        names = write_stack(np.zeros((3, 2, 3)), tmp_path, "img")
-        assert names == [f"img_{f:04d}.dmt" for f in range(3)]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            names + [f"depth_{f:04d}.dmt" for f in range(5)])
-        assert (read_tensor(tmp_path / "img_0002.dmt") == 0).all()
+    """A stack is one file, written over no other; the prediction masks'
+    per-frame files past a scene's end are its stale frames."""
 
     def test_other_files_kept(self, tmp_path):
         others = ["depth_0004.dmt", "gt_img_0004.dmt", "img_0004.pgm",
@@ -360,15 +395,15 @@ class TestStackFrames:
                   "img_notes.dmt", "notes.txt"]
         for name in others:
             (tmp_path / name).write_text("kept")
-        write_stack(np.ones((3, 2, 3)), tmp_path, "img")
+        assert write_stack(np.ones((3, 2, 3)), tmp_path, "img") == "img.dmt"
         assert all((tmp_path / name).read_text() == "kept" for name in others)
 
     def test_five_digit_frames_are_frames(self, tmp_path):
-        (tmp_path / "img_10000.dmt").write_text("stale")
-        assert stale_frames(tmp_path, "img", 3, "dmt") == [
-            tmp_path / "img_10000.dmt"]
-        write_stack(np.ones((3, 2, 3)), tmp_path, "img")
-        assert not (tmp_path / "img_10000.dmt").exists()
+        for name in ("mask_0002.pgm", "mask_0003.pgm", "mask_10000.pgm",
+                     "mask_7.pgm", "mask_0003.dmt", "gt_mask_0004.pgm"):
+            (tmp_path / name).write_text("")
+        assert stale_frames(tmp_path, "mask", 3, "pgm") == [
+            tmp_path / "mask_0003.pgm", tmp_path / "mask_10000.pgm"]
 
     def test_missing_directory_has_no_stale_frames(self, tmp_path):
         assert stale_frames(tmp_path / "absent", "mask", 3, "pgm") == []
