@@ -9,6 +9,7 @@ identical artifacts.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import replace
@@ -21,9 +22,9 @@ from .evaluation import MetricReport
 from .geometry import epipolar_residual_batch, essential_from_poses, \
     project_dynamic_world_batch
 from .pipeline import PipelineConfig, run
-from .tensor_io import (SceneFormatError, _read_header, frame_name,
-                        load_scene, read_pgm, read_stack, stale_frames,
-                        write_json, write_pgm, write_tensor)
+from .tensor_io import (SceneFormatError, _read_header, load_scene,
+                        read_pgm, read_stack, write_json, write_pgm,
+                        write_tensor)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "purification, and cross-view consistency.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", parents=[],
+    p_gen = sub.add_parser("generate",
                            help="render a synthetic scene bundle from a "
                                 "JSON spec")
     p_gen.add_argument("spec", help="scene spec JSON file")
@@ -92,14 +93,29 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     spec = synthetic.SceneSpec.from_json(args.spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bundle, gt = synthetic.generate(spec, out)
     print(f"generated {bundle.frames} frames ({bundle.width}x{bundle.height}),"
           f" {len(spec.movers)} movers, seed {spec.seed} -> {out}")
     return EXIT_OK
 
 
+def _mask_name(f: int) -> str:
+    """File name of frame `f`'s prediction mask; `mask` writes one PGM a
+    frame, and `eval` reads them."""
+    return f"mask_{f:04d}.pgm"
+
+
+def _stale_masks(directory: Path, frames: int) -> list[Path]:
+    """Files in `directory` named ``mask_<4 or more digits>.pgm`` that
+    are not one of the first `frames` frames' masks, sorted."""
+    names = {_mask_name(f) for f in range(frames)}
+    return sorted(path for path in directory.glob("mask_*.pgm")
+                  if path.name not in names
+                  and re.fullmatch(r"mask_\d{4,}\.pgm", path.name))
+
+
 def cmd_mask(args) -> int:
+    # the pipeline's inputs only: no ground-truth file is opened
     bundle = load_scene(args.scene)
     config = (PipelineConfig.from_json(args.config) if args.config
               else PipelineConfig())
@@ -116,10 +132,10 @@ def cmd_mask(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # masks an earlier run wrote for a longer scene would fail its eval
-    for path in stale_frames(out, "mask", bundle.frames, "pgm"):
+    for path in _stale_masks(out, bundle.frames):
         path.unlink()
     for f in range(bundle.frames):
-        write_pgm(result.masks[f], out / frame_name("mask", f, "pgm"))
+        write_pgm(result.masks[f], out / _mask_name(f))
     purification.write_ply(result.cloud, out / "cloud.ply")
     write_json({
         "config": config.to_dict(),
@@ -141,9 +157,9 @@ def _load_pred_masks(pred_dir: Path, shape: tuple[int, int, int]
                      ) -> np.ndarray:
     """The prediction masks of a scene of (T, H, W) `shape`, as bools."""
     frames, hw = shape[0], shape[1:]
-    names = [frame_name("mask", f, "pgm") for f in range(frames)]
+    names = [_mask_name(f) for f in range(frames)]
     # a prediction made for a longer scene must not be scored silently
-    extra = stale_frames(pred_dir, "mask", frames, "pgm")
+    extra = _stale_masks(pred_dir, frames)
     if extra:
         raise SceneFormatError(
             f"unexpected prediction mask {extra[0]}: the scene has "

@@ -4,7 +4,9 @@ Dynamic pixels lift to a 3-D point cloud; isolated points are artifacts of
 noisy saliency or depth, while genuinely moving surfaces form dense blobs.
 A point survives iff at least `tau` other points sit within an adaptive
 radius (2% of the cloud's bounding-box diagonal by default).  Counting is
-one-shot against the pre-filter cloud, never iterative.
+one-shot against the pre-filter cloud, never iterative.  The filter takes
+the cloud as `unproject_mask` lifts it, every point alive, and refuses a
+cloud with a dead point.
 
 The test is exact without scanning pairs: the grid decides, the tree
 counts the undecided.  On a grid of cell edge r/2, a point's own cell and
@@ -71,21 +73,18 @@ class DynamicPointCloud:
 
 
 def build_index(cloud: DynamicPointCloud) -> cKDTree:
-    """k-d tree over the alive points of a cloud, for `radius_neighbors`.
+    """k-d tree over every point of a lifted cloud, for `radius_neighbors`.
 
     One tree answers any radius.  Counts do not depend on the tree's shape,
     and sliding-midpoint splits build in about half the time of median
     splits on an 870k-point lifted cloud.
     """
-    # every point of a freshly lifted cloud is alive: no copy is needed
-    alive = cloud.alive
-    return cKDTree(cloud.positions if alive.all() else cloud.positions[alive],
-                   balanced_tree=False)
+    return cKDTree(cloud.positions, balanced_tree=False)
 
 
 def radius_neighbors(cloud: DynamicPointCloud, index: cKDTree,
                      i: int | np.ndarray, r: float) -> int | np.ndarray:
-    """Number of alive points j != i with ||p_i - p_j|| <= r (inclusive).
+    """Number of points j != i with ||p_i - p_j|| <= r (inclusive).
 
     `i` is a point index (giving an int) or an index array (giving an
     array of counts).  Counting never builds neighbor lists: O(N) memory.
@@ -93,8 +92,8 @@ def radius_neighbors(cloud: DynamicPointCloud, index: cKDTree,
     if r <= 0:
         raise ValueError(f"radius {r} must be positive")
     found = index.query_ball_point(cloud.positions[i], r, return_length=True)
-    # an alive point is in the tree and always finds itself
-    counts = found - np.asarray(cloud.alive[i], dtype=np.int64)
+    # every point is in the tree and finds itself
+    counts = found - 1
     return int(counts) if np.ndim(i) == 0 else counts
 
 
@@ -140,12 +139,11 @@ def unproject_mask(bundle: SceneBundle, masks: np.ndarray,
 
 
 def scene_diagonal(cloud: DynamicPointCloud) -> float:
-    """Axis-aligned bounding-box diagonal of the alive points; 0 if empty."""
-    alive = cloud.positions[cloud.alive]
-    if len(alive) == 0:
+    """Axis-aligned bounding-box diagonal of a cloud's points; 0 if empty."""
+    if len(cloud) == 0:
         return 0.0
     # column by column: a reduction along axis 0 of (N, 3) loops 3 at a time
-    span = [column.max() - column.min() for column in alive.T]
+    span = [column.max() - column.min() for column in cloud.positions.T]
     return float(np.linalg.norm(span))
 
 
@@ -208,38 +206,38 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
            radius: float | None = None) -> DynamicPointCloud:
     """One-shot density filter: keep points with >= tau neighbors within r.
 
-    The radius defaults to r_factor times the cloud's bounding-box diagonal;
-    pass `radius` to override (e.g. with a full-scene diagonal).  Densities
-    are computed against the pre-filter cloud, so removal order cannot
+    `cloud` is a lifted cloud, every point alive, as `unproject_mask`
+    returns it; a cloud with a dead point raises ValueError.  The radius
+    defaults to r_factor times the cloud's bounding-box diagonal; pass
+    `radius` to override (e.g. with a full-scene diagonal).  Densities are
+    computed against the pre-filter cloud, so removal order cannot
     cascade.  Returns a new cloud that shares every array with the input
     but `alive`; the input is left untouched.
     """
     if tau < 0:
         raise ValueError(f"tau {tau} must be >= 0")
-    alive = np.zeros_like(cloud.alive)  # dead points stay dead
+    if not cloud.alive.all():
+        raise ValueError("purify takes a lifted cloud, every point alive, "
+                         f"not one with {len(cloud) - cloud.alive_count} dead")
+    dead = np.zeros_like(cloud.alive)
     if len(cloud) == 0:
-        return replace(cloud, alive=alive)
+        return replace(cloud, alive=dead)
     r = (r_factor * scene_diagonal(cloud)) if radius is None else float(radius)
     if not np.isfinite(r):
         raise ValueError(f"purification radius {r} must be finite")
-    alive_ids = np.flatnonzero(cloud.alive)
-    if len(alive_ids) <= tau:
+    if len(cloud) <= tau:
         # no point has tau others, so no grid or index is needed
-        return replace(cloud, alive=alive)
-    # a freshly lifted cloud is all alive: its positions need no copy
-    positions = (cloud.positions if len(alive_ids) == len(cloud)
-                 else cloud.positions[alive_ids])
+        return replace(cloud, alive=dead)
     if r <= 0:
         # degenerate radius: only exactly co-located points count
         _, inverse, group_sizes = np.unique(
-            positions, axis=0, return_inverse=True, return_counts=True)
-        alive[alive_ids] = group_sizes[inverse] > tau
-        return replace(cloud, alive=alive)
+            cloud.positions, axis=0, return_inverse=True, return_counts=True)
+        return replace(cloud, alive=group_sizes[inverse] > tau)
     with (ThreadPoolExecutor(1) if _WORKERS > 1
           else contextlib.nullcontext()) as pool:
         # the pool thread builds the tree while this one runs the grid
         building = None if pool is None else pool.submit(build_index, cloud)
-        keep = _outright_alive(positions, r, tau)
+        keep = _outright_alive(cloud.positions, r, tau)
         rest = np.flatnonzero(~keep)
         # read even when the grid decided every point, to raise its errors
         index = None if pool is None else building.result()
@@ -248,12 +246,11 @@ def purify(cloud: DynamicPointCloud, tau: int = DEFAULT_TAU,
                 index = build_index(cloud)
             count = functools.partial(radius_neighbors, cloud, index, r=r)
             # one contiguous chunk a lane; this thread counts the first
-            chunks = np.array_split(alive_ids[rest], 1 if pool is None else 2)
+            chunks = np.array_split(rest, 1 if pool is None else 2)
             later = [pool.submit(count, chunk) for chunk in chunks[1:]]
             keep[rest] = np.concatenate(
                 [count(chunks[0])] + [f.result() for f in later]) >= tau
-    alive[alive_ids] = keep
-    return replace(cloud, alive=alive)
+    return replace(cloud, alive=keep)
 
 
 def mask_from_cloud(cloud: DynamicPointCloud, bundle: SceneBundle) -> np.ndarray:

@@ -16,9 +16,7 @@ under the stack's manifest key; a mask stack is one (T*H, W) PGM.
 :func:`write_stack` and :func:`read_stack` are the only code that writes
 and checks that layout.  A list under a stack key is the one-file-per-frame
 layout of earlier versions, which is refused: such a directory must be
-regenerated.  The CLI's prediction masks stay one PGM per frame;
-:func:`frame_name` is that frame file name and :func:`stale_frames` the
-rule for the frames a shorter run leaves behind.
+regenerated.
 
 Every value read from JSON (config, spec, ``scene.json``, ``gt.json``)
 passes one checker, :func:`json_value`, :func:`json_vector` and
@@ -32,7 +30,6 @@ import json
 import math
 import numbers
 import os
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,15 +177,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
 # PGM
 # ---------------------------------------------------------------------------
 
-def write_pgm(image: np.ndarray, path: str | Path) -> None:
-    """Write a grayscale image or binary mask as 8-bit binary PGM.
-
-    Boolean input maps to 0/255.
-    """
-    if image.dtype == bool:
-        data = np.where(image, np.uint8(255), np.uint8(0))
-    else:
-        data = np.ascontiguousarray(image, dtype=np.uint8)
+def write_pgm(mask: np.ndarray, path: str | Path) -> None:
+    """Write a 2-D binary mask as 8-bit binary PGM: set pixels 255, others 0."""
+    data = np.where(mask, np.uint8(255), np.uint8(0))
     if data.ndim != 2:
         raise TensorFormatError("PGM image must be 2-D")
     h, w = data.shape
@@ -377,22 +368,6 @@ def read_manifest(path: Path) -> dict:
     return manifest
 
 
-def frame_name(prefix: str, f: int, ext: str) -> str:
-    """Name of frame `f` of a one-file-per-frame series such as the
-    prediction masks: ``<prefix>_<f:04d>.<ext>``."""
-    return f"{prefix}_{f:04d}.{ext}"
-
-
-def stale_frames(directory: Path, prefix: str, frames: int,
-                 ext: str) -> list[Path]:
-    """Files in `directory` named ``<prefix>_<4 or more digits>.<ext>``
-    that are not one of the first `frames` frames, sorted."""
-    frame = re.compile(rf"{re.escape(prefix)}_\d{{4,}}\.{re.escape(ext)}")
-    names = {frame_name(prefix, f, ext) for f in range(frames)}
-    return sorted(path for path in directory.glob(f"{prefix}_*.{ext}")
-                  if path.name not in names and frame.fullmatch(path.name))
-
-
 def write_stack(stack: np.ndarray, out_dir: Path, prefix: str,
                 ext: str = "dmt") -> str:
     """Write the (T, ...) `stack` as one file ``<prefix>.<ext>``.
@@ -466,8 +441,8 @@ def save_scene(bundle: SceneBundle, out_dir: str | Path) -> None:
     for field, key, prefix in _SCENE_STACKS:
         manifest[key] = write_stack(getattr(bundle, field), out, prefix)
     if bundle.gt_masks is not None:
-        manifest["gt_masks"] = write_stack(
-            bundle.gt_masks.astype(bool, copy=False), out, "gt_mask", "pgm")
+        manifest["gt_masks"] = write_stack(bundle.gt_masks, out, "gt_mask",
+                                           "pgm")
     write_json(manifest, out / "scene.json")
 
 
@@ -506,18 +481,19 @@ def _read_header(root: Path) -> _SceneHeader:
 
 
 def load_scene(scene_dir: str | Path) -> SceneBundle:
-    """Load and fully validate a scene bundle from a directory.
+    """Load and fully validate a scene bundle's pipeline inputs.
 
-    Reads the header (:func:`_read_header`) and every tensor stack, checks
-    the bundle with :func:`validate_bundle` and its extents against the
-    header's, then reads the optional ground-truth masks at that size.
-    Manifest keys the loader does not read are ignored, so directories
-    written with keys that later versions dropped still load.
+    Reads the header (:func:`_read_header`) and every input tensor stack,
+    and checks the bundle with :func:`validate_bundle` and its extents
+    against the header's.  The ground truth is not read, so the bundle's
+    `gt_masks` is None; ``dynmask eval`` reads the masks with
+    :func:`read_stack`.  Manifest keys the loader does not read are
+    ignored, so directories written with keys that later versions dropped
+    still load.
     """
     root = Path(scene_dir)
     header = _read_header(root)
-    t, manifest = header.frames, header.manifest
-    stacks = {field: read_stack(root, manifest, key, t)
+    stacks = {field: read_stack(root, header.manifest, key, header.frames)
               for field, key, _ in _SCENE_STACKS}
     bundle = SceneBundle(**stacks, cameras=header.cameras, patch=header.patch)
     validate_bundle(bundle)
@@ -526,9 +502,6 @@ def load_scene(scene_dir: str | Path) -> SceneBundle:
         raise SceneFormatError(
             f"manifest height, width, heads {expect} != "
             f"tensors' {(bundle.height, bundle.width, bundle.heads)}")
-    if "gt_masks" in manifest:
-        bundle.gt_masks = read_stack(root, manifest, "gt_masks", t,
-                                     expect[:2], ext="pgm")
     return bundle
 
 

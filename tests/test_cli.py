@@ -17,8 +17,8 @@ from dynmask import cli, evaluation, tensor_io
 from dynmask.cli import main
 from dynmask.pipeline import PipelineConfig, run
 from dynmask.synthetic import SceneSpec, _sigma_map
-from dynmask.tensor_io import (load_scene, read_pgm, read_tensor, write_pgm,
-                               write_stack, write_tensor)
+from dynmask.tensor_io import (load_scene, read_pgm, read_stack, read_tensor,
+                               write_pgm, write_stack, write_tensor)
 from oracles import GT_BREAKAGES
 
 SPEC = {
@@ -54,9 +54,10 @@ def _digest_dir(root):
 
 # the input tensors of a scene, which only `dynmask mask` reads
 INPUT_FILES = ("img.dmt", "depth.dmt", "conf.dmt", "attn.dmt")
+# the ground truth of a scene, which `dynmask mask` never reads
+GT_FILES = ("gt_mask.pgm", "gt_depth.dmt", "gt_inst.dmt", "gt.json")
 # every file of a generated scene directory: one file per stack
-SCENE_FILES = {*INPUT_FILES, "gt_mask.pgm", "gt_depth.dmt", "gt_inst.dmt",
-               "scene.json", "gt.json"}
+SCENE_FILES = {*INPUT_FILES, *GT_FILES, "scene.json"}
 
 
 def _scene_argv(command, scene, pred_dir, out):
@@ -138,10 +139,10 @@ class TestGenerate:
             gt["true_depths"], gt["instances"], "scene.json", "gt.json"
         } == SCENE_FILES
         assert {p.name for p in scene_dir.iterdir()} == SCENE_FILES
-        # generated scenes load back cleanly
+        # generated scenes load back cleanly, the pipeline's inputs only
         bundle = load_scene(scene_dir)
         assert bundle.frames == SPEC["frames"]
-        assert bundle.gt_masks is not None
+        assert bundle.gt_masks is None
 
     def test_byte_deterministic(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", SPEC)
@@ -255,6 +256,24 @@ class TestMask:
         assert sorted(p.name for p in out.glob("mask_*.pgm")) == [
             f"mask_{f:04d}.pgm" for f in range(6)]
         assert main(["eval", str(out), str(tmp_path / "scene6")]) == 0
+
+    def test_needs_no_ground_truth(self, tmp_path, scene_dir, pred_dir):
+        # mask reads the pipeline's inputs only: with the ground-truth files
+        # gone, though scene.json still names gt_mask.pgm, it writes the
+        # same bytes
+        bare = tmp_path / "bare"
+        shutil.copytree(scene_dir, bare)
+        for name in GT_FILES:
+            (bare / name).unlink()
+        assert "gt_masks" in json.loads((bare / "scene.json").read_text())
+        out = tmp_path / "pred"
+        assert main(["mask", str(bare), "--out", str(out)]) == 0
+        written = _digest_dir(out)
+        written.pop("timing.json")
+        assert set(written) == {"cloud.ply", "pipeline.json", *(
+            f"mask_{f:04d}.pgm" for f in range(SPEC["frames"]))}
+        full = _digest_dir(pred_dir)
+        assert written == {name: full[name] for name in written}
 
     def test_keeps_files_that_are_no_frame_mask(self, tmp_path, scene_dir):
         # only numbered masks past the scene's frames are removed
@@ -378,6 +397,21 @@ class TestMask:
         capsys.readouterr()
 
 
+class TestMaskFiles:
+    """Prediction masks are mask_NNNN.pgm, one a frame; those past a
+    scene's end are found by the same rule in mask and eval."""
+
+    def test_five_digit_frames_are_frames(self, tmp_path):
+        for name in ("mask_0002.pgm", "mask_0003.pgm", "mask_10000.pgm",
+                     "mask_7.pgm", "mask_0003.dmt", "gt_mask_0004.pgm"):
+            (tmp_path / name).write_text("")
+        assert cli._stale_masks(tmp_path, 3) == [
+            tmp_path / "mask_0003.pgm", tmp_path / "mask_10000.pgm"]
+
+    def test_missing_directory_has_no_stale_frames(self, tmp_path):
+        assert cli._stale_masks(tmp_path / "absent", 3) == []
+
+
 class TestEval:
     def test_report_metrics(self, scene_dir, pred_dir):
         assert main(["eval", str(pred_dir), str(scene_dir)]) == 0
@@ -393,10 +427,13 @@ class TestEval:
             assert report[key] > 0.0
 
     def test_matches_library_metrics(self, scene_dir, pred_dir):
-        bundle = load_scene(scene_dir)
+        frames, hw = SPEC["frames"], (SPEC["height"], SPEC["width"])
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        gt_masks = read_stack(scene_dir, manifest, "gt_masks", frames, hw,
+                              ext="pgm")
         pred = np.stack([read_pgm(pred_dir / f"mask_{f:04d}.pgm") > 127
-                         for f in range(bundle.frames)])
-        expected = evaluation.evaluate_masks(pred, bundle.gt_masks)
+                         for f in range(frames)])
+        expected = evaluation.evaluate_masks(pred, gt_masks)
         report = json.loads((pred_dir / "report.json").read_text())
         assert report["jm"] == pytest.approx(expected.jm, abs=1e-12)
         assert report["fm"] == pytest.approx(expected.fm, abs=1e-12)
@@ -487,8 +524,13 @@ class TestEval:
         write_pgm(np.zeros((rows, SPEC["width"]), dtype=bool),
                   broken / "gt_mask.pgm")
         out = tmp_path / "out"
-        assert main(_scene_argv(command, broken, pred_dir, out)) == 2
+        code = main(_scene_argv(command, broken, pred_dir, out))
         err = capsys.readouterr().err
+        if command == "mask":
+            # mask reads no ground truth
+            assert code == 0 and err == ""
+            return
+        assert code == 2
         assert f"gt_masks file {broken / 'gt_mask.pgm'}" in err
         assert not out.exists()
 

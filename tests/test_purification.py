@@ -29,16 +29,13 @@ def _cloud(points, alive=None, pixel_ids=None, saliencies=None):
     )
 
 
-def _brute_counts(points, r, alive=None):
-    """O(N^2) reference: inclusive radius, self excluded, alive only."""
+def _brute_counts(points, r):
+    """O(N^2) reference: inclusive radius, self excluded."""
     points = np.asarray(points, dtype=np.float64)
-    alive = np.ones(len(points), bool) if alive is None else np.asarray(alive)
     counts = np.zeros(len(points), dtype=np.int64)
     for i in range(len(points)):
-        if not alive[i]:
-            continue
         d2 = ((points - points[i]) ** 2).sum(axis=1)
-        counts[i] = int(np.count_nonzero((d2 <= r * r) & alive)) - 1
+        counts[i] = int(np.count_nonzero(d2 <= r * r)) - 1
     return counts
 
 
@@ -119,29 +116,17 @@ class TestRadiusNeighbors:
             np.testing.assert_array_equal(got, expect)
 
     def test_index_array_matches_single_calls(self):
-        # purify counts with one call over an index array; dead points in
-        # the array do not count themselves
+        # purify counts with one call over an index array
         gen = np.random.default_rng(7)
         pts = gen.random((400, 3))
-        alive = gen.random(400) > 0.2
-        cloud = _cloud(pts, alive=alive)
+        cloud = _cloud(pts)
         idx = build_index(cloud)
         ids = gen.permutation(400)[:250]
         got = radius_neighbors(cloud, idx, ids, 0.2)
         single = [radius_neighbors(cloud, idx, int(i), 0.2) for i in ids]
         np.testing.assert_array_equal(got, single)
-        brute = np.array([
-            np.count_nonzero(alive & (((pts - pts[i]) ** 2).sum(axis=1)
-                                      <= 0.04)) - int(alive[i])
-            for i in ids])
-        np.testing.assert_array_equal(got, brute)
+        np.testing.assert_array_equal(got, _brute_counts(pts, 0.2)[ids])
         assert isinstance(single[0], int)
-
-    def test_dead_points_excluded(self):
-        pts = [[0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]]
-        cloud = _cloud(pts, alive=[True, False, True])
-        idx = build_index(cloud)
-        assert radius_neighbors(cloud, idx, 0, 1.0) == 1
 
     def test_radius_validation(self):
         cloud = _cloud([[0, 0, 0]])
@@ -169,11 +154,6 @@ class TestSceneDiagonal:
 
     def test_empty(self):
         assert scene_diagonal(_lifted_empty()) == 0.0
-
-    def test_ignores_dead_points(self):
-        cloud = _cloud([[0, 0, 0], [1, 1, 1], [99, 99, 99]],
-                       alive=[True, True, False])
-        assert scene_diagonal(cloud) == pytest.approx(np.sqrt(3))
 
 
 class TestPurify:
@@ -425,13 +405,12 @@ class TestPurify:
         with pytest.raises(ValueError, match="finite"):
             purify(_cloud([[0, 0, 0], [np.inf, 0, 0]]), tau=1)
 
-    def test_dead_points_stay_dead_and_ignored(self):
+    def test_dead_point_rejected(self):
+        # purify takes a lifted cloud, every point alive
         pts = [[0, 0, 0], [0.001, 0, 0], [0.002, 0, 0], [8, 8, 8]]
         cloud = _cloud(pts, alive=[True, False, True, True])
-        out = purify(cloud, tau=1, radius=0.01)
-        assert not out.alive[1]
-        # dead middle point does not support its neighbors
-        assert bool(out.alive[0]) == bool(out.alive[2])
+        with pytest.raises(ValueError, match="not one with 1 dead"):
+            purify(cloud, tau=1, radius=0.01)
 
 
 class TestUnprojectAndRasterize:

@@ -23,7 +23,8 @@ from dynmask.synthetic import (_SPEC_KEYS, FLOOR_Y, NOISE_AMP, NOISE_BASE,
                                SIGNAL_HEADS, WALL_Z, MoverSpec, SceneSpec,
                                _sigma_map, corpus_specs, generate,
                                load_ground_truth)
-from dynmask.tensor_io import SceneFormatError, load_scene, validate_bundle
+from dynmask.tensor_io import (SceneFormatError, load_scene, read_stack,
+                               validate_bundle)
 from oracles import (GT_BREAKAGES, cast_depth, corrupt, project_rigid_batch,
                      render_frame)
 
@@ -554,18 +555,25 @@ class TestDeterminism:
         loaded = load_scene(tmp_path)
         np.testing.assert_array_equal(loaded.depths, bundle.depths)
         np.testing.assert_array_equal(loaded.attention, bundle.attention)
-        np.testing.assert_array_equal(loaded.gt_masks, bundle.gt_masks)
-        gt2 = load_ground_truth(tmp_path, loaded.gt_masks.shape)
+        shape = (spec.frames, spec.height, spec.width)
+        manifest = json.loads((tmp_path / "scene.json").read_text())
+        np.testing.assert_array_equal(
+            read_stack(tmp_path, manifest, "gt_masks", shape[0], shape[1:],
+                       ext="pgm"), bundle.gt_masks)
+        gt2 = load_ground_truth(tmp_path, shape)
         np.testing.assert_array_equal(gt2.true_depths, gt.true_depths)
         np.testing.assert_array_equal(gt2.instances, gt.instances)
         np.testing.assert_array_equal(gt2.mover_positions, gt.mover_positions)
 
 
 class TestGroundTruthChecks:
+    SPEC = _mover_spec(seed=3, frames=4)
+    SHAPE = (SPEC.frames, SPEC.height, SPEC.width)
+
     @pytest.fixture(scope="class")
     def scene(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("gt") / "scene"
-        generate(_mover_spec(seed=3, frames=4), root)
+        generate(self.SPEC, root)
         return root
 
     @pytest.mark.parametrize("breakage", sorted(GT_BREAKAGES))
@@ -577,7 +585,7 @@ class TestGroundTruthChecks:
         GT_BREAKAGES[breakage](manifest, broken)
         (broken / "gt.json").write_text(json.dumps(manifest))
         with pytest.raises(SceneFormatError):
-            load_ground_truth(broken, load_scene(broken).gt_masks.shape)
+            load_ground_truth(broken, self.SHAPE)
 
     @pytest.mark.parametrize("breakage, match", [
         ("short-list", r"instances file \S*gt_inst.dmt holds 3 frames, "
@@ -593,7 +601,7 @@ class TestGroundTruthChecks:
         GT_BREAKAGES[breakage](manifest, broken)
         (broken / "gt.json").write_text(json.dumps(manifest))
         with pytest.raises(SceneFormatError, match=match):
-            load_ground_truth(broken, load_scene(broken).gt_masks.shape)
+            load_ground_truth(broken, self.SHAPE)
 
 
 class TestCorrupt:

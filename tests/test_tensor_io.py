@@ -9,8 +9,8 @@ from dynmask import tensor_io
 from dynmask.geometry import CameraModel
 from dynmask.tensor_io import (SceneBundle, SceneFormatError, TensorFormatError,
                                load_scene, read_pgm, read_stack, read_tensor,
-                               save_scene, stale_frames, validate_bundle,
-                               write_pgm, write_stack, write_tensor)
+                               save_scene, validate_bundle, write_pgm,
+                               write_stack, write_tensor)
 
 
 class TestWriteAtomic:
@@ -135,6 +135,12 @@ class TestPnm:
         np.testing.assert_array_equal(out > 127, mask)
         assert set(np.unique(out)) <= {0, 255}
 
+    def test_pgm_marks_every_set_pixel(self, tmp_path):
+        # a mask of any dtype is written as 0/255: nonzero is set
+        p = tmp_path / "m.pgm"
+        write_pgm(np.array([[0, 1, 200]], dtype=np.uint8), p)
+        np.testing.assert_array_equal(read_pgm(p), [[0, 255, 255]])
+
     def test_pgm_comment_header(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\xff\xff\x00")
@@ -180,16 +186,28 @@ def _tiny_bundle(frames=2, h=8, w=12, heads=3, patch=4, seed=0):
     )
 
 
+def _load_with_gt_masks(root):
+    """Load a scene as `dynmask mask` does, then read its ground-truth
+    masks as `dynmask eval` does; returns (bundle, masks)."""
+    bundle = load_scene(root)
+    manifest = json.loads((root / "scene.json").read_text())
+    masks = read_stack(root, manifest, "gt_masks", bundle.frames,
+                       (bundle.height, bundle.width), ext="pgm")
+    return bundle, masks
+
+
 class TestSceneBundle:
     def test_save_load_round_trip(self, tmp_path):
         bundle = _tiny_bundle()
         save_scene(bundle, tmp_path / "scene")
-        out = load_scene(tmp_path / "scene")
+        out, gt_masks = _load_with_gt_masks(tmp_path / "scene")
         np.testing.assert_array_equal(out.images, bundle.images)
         np.testing.assert_array_equal(out.depths, bundle.depths)
         np.testing.assert_array_equal(out.confidence_logits, bundle.confidence_logits)
         np.testing.assert_array_equal(out.attention, bundle.attention)
-        np.testing.assert_array_equal(out.gt_masks, bundle.gt_masks)
+        # the loader reads the pipeline's inputs only
+        assert out.gt_masks is None
+        np.testing.assert_array_equal(gt_masks, bundle.gt_masks)
         assert out.patch == bundle.patch
         for a, b in zip(out.cameras, bundle.cameras):
             np.testing.assert_allclose(a.K, b.K)
@@ -321,7 +339,7 @@ class TestSceneBundle:
             parent[where[-1]] = value
         path.write_text(json.dumps(manifest))
         with pytest.raises(SceneFormatError, match=match):
-            load_scene(tmp_path / "scene")
+            _load_with_gt_masks(tmp_path / "scene")
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
                              ids=["not-json", "list"])
@@ -364,9 +382,22 @@ class TestSceneBundle:
         root = tmp_path / "scene"
         save_scene(_tiny_bundle(), root)
         write_pgm(np.zeros((rows, 12), dtype=bool), root / "gt_mask.pgm")
+        load_scene(root)  # reads no ground truth
         with pytest.raises(SceneFormatError, match=match) as err:
-            load_scene(root)
+            _load_with_gt_masks(root)
         assert f"gt_masks file {root / 'gt_mask.pgm'}" in str(err.value)
+
+    @pytest.mark.parametrize("gt_mask", ["missing", "malformed"])
+    def test_load_reads_no_ground_truth(self, tmp_path, gt_mask):
+        # the loader reads the pipeline's inputs only, so a scene whose
+        # gt_mask.pgm is gone or broken still loads
+        root = tmp_path / "scene"
+        save_scene(_tiny_bundle(), root)
+        if gt_mask == "missing":
+            (root / "gt_mask.pgm").unlink()
+        else:
+            (root / "gt_mask.pgm").write_bytes(b"P6\n")
+        assert load_scene(root).gt_masks is None
 
     def test_one_file_per_stack(self, tmp_path):
         bundle = _tiny_bundle()
@@ -386,8 +417,7 @@ class TestSceneBundle:
 
 
 class TestStackFrames:
-    """A stack is one file, written over no other; the prediction masks'
-    per-frame files past a scene's end are its stale frames."""
+    """A stack is one file, written over no other."""
 
     def test_other_files_kept(self, tmp_path):
         others = ["depth_0004.dmt", "gt_img_0004.dmt", "img_0004.pgm",
@@ -397,16 +427,6 @@ class TestStackFrames:
             (tmp_path / name).write_text("kept")
         assert write_stack(np.ones((3, 2, 3)), tmp_path, "img") == "img.dmt"
         assert all((tmp_path / name).read_text() == "kept" for name in others)
-
-    def test_five_digit_frames_are_frames(self, tmp_path):
-        for name in ("mask_0002.pgm", "mask_0003.pgm", "mask_10000.pgm",
-                     "mask_7.pgm", "mask_0003.dmt", "gt_mask_0004.pgm"):
-            (tmp_path / name).write_text("")
-        assert stale_frames(tmp_path, "mask", 3, "pgm") == [
-            tmp_path / "mask_0003.pgm", tmp_path / "mask_10000.pgm"]
-
-    def test_missing_directory_has_no_stale_frames(self, tmp_path):
-        assert stale_frames(tmp_path / "absent", "mask", 3, "pgm") == []
 
 
 def test_write_json_stable(tmp_path):
