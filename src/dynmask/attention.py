@@ -26,30 +26,23 @@ class SaliencyMap:
     head_weights: np.ndarray  # (H,) effective weights, sum exactly 1
 
 
-def head_variance(head: np.ndarray) -> float:
-    """Population spatial variance of one head's response map."""
-    arr = np.asarray(head, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empty attention map")
-    # exact zero for constant maps, so flat distractor heads get weight 0
-    # rather than rounding dust from the mean subtraction
-    if arr.max() == arr.min():
-        return 0.0
-    mean = arr.mean()
-    return float(np.mean((arr - mean) ** 2))
-
-
 def effective_weights(maps: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Convex-combination weights of an (H, H', W') head stack.
 
-    Each head's weight is its spatial variance over the total,
+    Each head's weight is its population spatial variance over the total,
     V_h / (sum_k V_k + eps), renormalized to sum to 1, so eps cancels.
+    A constant head's variance is exactly zero rather than rounding dust
+    from the mean subtraction, so flat distractor heads get weight 0.
     When the total variance is below the fallback threshold, all heads
     get equal weight.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    variances = np.array([head_variance(head) for head in maps])
+    arr = np.asarray(maps, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError(f"empty attention map, head stack shape {arr.shape}")
+    flat = arr.max(axis=(1, 2)) == arr.min(axis=(1, 2))
+    variances = np.where(flat, 0.0, arr.var(axis=(1, 2)))
     total = variances.sum()
     if total <= UNIFORM_FALLBACK_TOTAL:
         return np.full(len(variances), 1.0 / len(variances))
@@ -94,6 +87,4 @@ def binarize(saliency: SaliencyMap, theta: float, patch: int = 1) -> np.ndarray:
     if patch < 1:
         raise ValueError(f"patch factor {patch} must be >= 1")
     mask = saliency.values >= theta
-    if patch == 1:
-        return mask.copy()
     return np.repeat(np.repeat(mask, patch, axis=0), patch, axis=1)

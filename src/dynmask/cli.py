@@ -19,8 +19,8 @@ import numpy as np
 
 from . import evaluation, purification, synthetic
 from .evaluation import MetricReport
-from .geometry import epipolar_residual_batch, essential_from_poses, \
-    project_dynamic_world_batch
+from .geometry import (epipolar_residual_batch, essential_from_poses,
+                       project_points, unproject_pixels)
 from .pipeline import PipelineConfig, run
 from .tensor_io import (SceneFormatError, _read_header, load_scene,
                         read_pgm, read_stack, write_json, write_pgm,
@@ -228,6 +228,11 @@ def cmd_residuals(args) -> int:
     h, w = header.height, header.width
     gt = synthetic.load_ground_truth(scene, (header.frames, h, w))
 
+    # steps[i, f] is mover i's world displacement from frame f to f + 1;
+    # the last row, which instance -1 indexes, keeps static points still
+    steps = np.diff(gt.mover_positions, axis=1)
+    steps = np.concatenate([steps, np.zeros((1,) + steps.shape[1:])])
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pairs = []
@@ -241,16 +246,12 @@ def cmd_residuals(args) -> int:
         rows, cols = np.nonzero(gt.true_depths[f] > 0)
         pixels = np.column_stack([cols, rows]).astype(np.float64)
         depths = gt.true_depths[f][rows, cols].astype(np.float64)
-        disp = np.zeros((len(rows), 3))
         inst = gt.instances[f][rows, cols]
-        for i in range(gt.mover_positions.shape[0]):
-            sel = inst == i
-            if sel.any():
-                disp[sel] = gt.displacement(i, f, f + 1)
-
-        uv_tgt, _ = project_dynamic_world_batch(pixels, depths, ref_cam,
-                                                tgt_cam, disp)
-        delta = np.abs(epipolar_residual_batch(pixels, uv_tgt, ess, ref_cam))
+        moved = unproject_pixels(pixels, depths, ref_cam)
+        moved += steps[inst, f]
+        uv_tgt, _ = project_points(moved, tgt_cam)
+        delta = np.abs(epipolar_residual_batch(pixels, uv_tgt, ess, ref_cam,
+                                               tgt_cam))
 
         res_map = np.zeros((h, w), dtype=np.float32)
         res_map[rows, cols] = delta.astype(np.float32)

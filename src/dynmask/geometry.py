@@ -1,4 +1,4 @@
-"""Pinhole cameras, two-view warps, and epipolar residuals.
+"""Pinhole cameras, projection, and epipolar residuals.
 
 Conventions used throughout the package:
 
@@ -157,23 +157,22 @@ def project_points(points: np.ndarray,
     return uv, z
 
 
-def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,
-                                ref: CameraModel, tgt: CameraModel,
-                                displacements: np.ndarray
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Warp reference pixels whose points move by world displacements."""
-    disp = np.asarray(displacements, dtype=np.float64).reshape(-1, 3)
-    return project_points(unproject_pixels(pixels, depths, ref) + disp, tgt)
-
-
 # ---------------------------------------------------------------------------
 # epipolar residuals
 # ---------------------------------------------------------------------------
 
 def epipolar_residual_batch(pixels_ref: np.ndarray, pixels_tgt: np.ndarray,
                             essential: np.ndarray,
-                            intrinsics: CameraModel) -> np.ndarray:
-    """Signed epipolar residual x_t^T E x_r in normalized coordinates, (N,)."""
+                            intrinsics: CameraModel,
+                            intrinsics_tgt: CameraModel | None = None
+                            ) -> np.ndarray:
+    """Signed epipolar residual x_t^T E x_r in normalized coordinates, (N,).
+
+    Each pixel set is normalized by its own camera: the reference pixels
+    by `intrinsics`, the target pixels by `intrinsics_tgt`, which defaults
+    to the reference camera.
+    """
     xr = pixel_rays(pixels_ref, intrinsics)
-    xt = pixel_rays(pixels_tgt, intrinsics)
+    xt = pixel_rays(pixels_tgt, intrinsics if intrinsics_tgt is None
+                    else intrinsics_tgt)
     return np.einsum("ni,ij,nj->n", xt, essential, xr)

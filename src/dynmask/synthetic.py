@@ -183,12 +183,6 @@ class GroundTruth:
     instances: np.ndarray       # (T, H, W) int32, mover index or -1
     mover_positions: np.ndarray  # (num_movers, T, 3)
 
-    def displacement(self, instance: int, ref_frame: int,
-                     tgt_frame: int) -> np.ndarray:
-        """World displacement of one mover between two frames."""
-        return (self.mover_positions[instance, tgt_frame]
-                - self.mover_positions[instance, ref_frame])
-
 
 # ---------------------------------------------------------------------------
 # ray casting

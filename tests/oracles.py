@@ -1,8 +1,10 @@
 """Reference oracles the tests check the library against.
 
 No pipeline or CLI path runs these, so they live with the tests: the
-single-pixel and camera-frame-motion warps, the scalar epipolar residual
-and its first-order estimate, the mean Jaccard and boundary scores, the
+head-by-head attention variances, the world-displacement, single-pixel
+and camera-frame-motion warps, the mover-by-mover residual maps, the
+scalar epipolar residual and its first-order estimate, the mean Jaccard
+and boundary scores, the
 boundary measure by whole-frame distance transforms, the analytic depth
 cast at arbitrary pixels, the frame-by-frame render the generator must
 match, the outlier injection of the ablation gate, and
@@ -16,17 +18,45 @@ import numpy as np
 from scipy import ndimage
 
 from dynmask import rng
+from dynmask.attention import UNIFORM_FALLBACK_TOTAL
 from dynmask.evaluation import (DEFAULT_BOUNDARY_TOL, boundary_f_frames,
                                 jaccard_frames)
 from dynmask.geometry import (MIN_DEPTH, CameraModel, epipolar_residual_batch,
                               essential_from_poses, pixel_rays,
-                              project_dynamic_world_batch, project_points,
-                              unproject_pixels)
+                              project_points, unproject_pixels)
 from dynmask.synthetic import (_CHECKER_DARK, _CHECKER_LIGHT, CHECKER, FLOOR_Y,
-                               WALL_Z, SceneSpec, _camera_rays, _cast_rays,
+                               WALL_Z, GroundTruth, SceneSpec, _camera_rays,
+                               _cast_rays,
                                _intersect_box, _intersect_plane,
                                _intersect_sphere, _ray_directions)
 from dynmask.tensor_io import SceneBundle, read_tensor, write_tensor
+
+
+# ---------------------------------------------------------------------------
+# attention weights
+# ---------------------------------------------------------------------------
+
+def head_variance(head: np.ndarray) -> float:
+    """Population spatial variance of one head's response map."""
+    arr = np.asarray(head, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("empty attention map")
+    # exact zero for constant maps, so flat distractor heads get weight 0
+    # rather than rounding dust from the mean subtraction
+    if arr.max() == arr.min():
+        return 0.0
+    mean = arr.mean()
+    return float(np.mean((arr - mean) ** 2))
+
+
+def effective_weights_by_head(maps: np.ndarray, eps: float) -> np.ndarray:
+    """`attention.effective_weights` from one `head_variance` call a head."""
+    variances = np.array([head_variance(head) for head in maps])
+    total = variances.sum()
+    if total <= UNIFORM_FALLBACK_TOTAL:
+        return np.full(len(variances), 1.0 / len(variances))
+    raw = variances / (total + eps)
+    return raw / raw.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +65,15 @@ from dynmask.tensor_io import SceneBundle, read_tensor, write_tensor
 
 class BehindCameraError(ValueError):
     """Projection target has non-positive depth in the target camera."""
+
+
+def project_dynamic_world_batch(pixels: np.ndarray, depths: np.ndarray,
+                                ref: CameraModel, tgt: CameraModel,
+                                displacements: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Warp reference pixels whose points move by world displacements."""
+    disp = np.asarray(displacements, dtype=np.float64).reshape(-1, 3)
+    return project_points(unproject_pixels(pixels, depths, ref) + disp, tgt)
 
 
 def project_rigid_batch(pixels: np.ndarray, depths: np.ndarray,
@@ -92,6 +131,35 @@ def epipolar_residual(pixel_ref: np.ndarray, pixel_tgt: np.ndarray,
     return float(epipolar_residual_batch(
         np.asarray(pixel_ref).reshape(1, 2), np.asarray(pixel_tgt).reshape(1, 2),
         essential, intrinsics)[0])
+
+
+def displacement(gt: GroundTruth, instance: int, ref_frame: int,
+                 tgt_frame: int) -> np.ndarray:
+    """World displacement of one mover between two frames."""
+    return (gt.mover_positions[instance, tgt_frame]
+            - gt.mover_positions[instance, ref_frame])
+
+
+def residual_map(gt: GroundTruth, cameras: list[CameraModel],
+                 f: int) -> np.ndarray:
+    """`dynmask residuals`' float32 map of frame pair (f, f + 1), from a
+    displacement looked up mover by mover."""
+    ref, tgt = cameras[f], cameras[f + 1]
+    rows, cols = np.nonzero(gt.true_depths[f] > 0)
+    pixels = np.column_stack([cols, rows]).astype(np.float64)
+    depths = gt.true_depths[f][rows, cols].astype(np.float64)
+    inst = gt.instances[f][rows, cols]
+    disp = np.zeros((len(rows), 3))
+    for i in range(gt.mover_positions.shape[0]):
+        sel = inst == i
+        if sel.any():
+            disp[sel] = displacement(gt, i, f, f + 1)
+    uv, _ = project_dynamic_world_batch(pixels, depths, ref, tgt, disp)
+    delta = np.abs(epipolar_residual_batch(
+        pixels, uv, essential_from_poses(ref, tgt), ref, tgt))
+    out = np.zeros(gt.true_depths.shape[1:], dtype=np.float32)
+    out[rows, cols] = delta.astype(np.float32)
+    return out
 
 
 def residual_first_order(pixel_ref: np.ndarray, depth: float,

@@ -3,34 +3,94 @@
 import numpy as np
 import pytest
 
-from dynmask.attention import (SaliencyMap, aggregate, binarize,
-                               effective_weights, head_variance)
+from dynmask import synthetic
+from dynmask.attention import (DEFAULT_EPS, SaliencyMap, aggregate, binarize,
+                               effective_weights)
+from oracles import effective_weights_by_head, head_variance
 
 
 class TestHeadVariance:
+    """Each head's weight is its population spatial variance over the total."""
+
     def test_constant_map(self):
-        assert head_variance(np.full((4, 4), 0.5)) == 0.0
+        gen = np.random.default_rng(0)
+        maps = np.stack([np.full((4, 4), 0.5), gen.random((4, 4))])
+        w = effective_weights(maps)
+        assert w[0] == 0.0
+        assert w[1] == 1.0
 
     def test_hand_computed(self):
-        assert head_variance(np.array([[0.0, 0.0], [1.0, 1.0]])) == pytest.approx(0.25)
+        # variances 0.25 and 0.1875: weights 4/7 and 3/7
+        maps = np.array([[[0.0, 0.0], [1.0, 1.0]],
+                         [[0.0, 0.0], [0.0, 1.0]]])
+        np.testing.assert_allclose(effective_weights(maps, eps=1e-15),
+                                   [4 / 7, 3 / 7], rtol=1e-12)
 
     def test_matches_numpy_population_variance(self):
         gen = np.random.default_rng(42)
         for _ in range(10):
-            arr = gen.random((6, 9))
-            expect = np.var(arr)  # ddof=0, an independent two-pass oracle
-            assert head_variance(arr) == pytest.approx(expect, rel=1e-12)
+            maps = gen.random((4, 6, 9))
+            # ddof=0, an independent two-pass oracle
+            expect = np.array([np.var(m) for m in maps])
+            np.testing.assert_allclose(effective_weights(maps),
+                                       expect / expect.sum(), rtol=1e-12)
+            for m, v in zip(maps, expect):
+                assert head_variance(m) == pytest.approx(v, rel=1e-12)
 
     def test_shift_invariance_and_quadratic_scaling(self):
         gen = np.random.default_rng(1)
-        arr = gen.random((5, 5))
-        v = head_variance(arr)
-        assert head_variance(arr + 3.7) == pytest.approx(v, rel=1e-10)
-        assert head_variance(2.0 * arr) == pytest.approx(4.0 * v, rel=1e-10)
+        maps = gen.random((2, 5, 5))
+        w = effective_weights(maps)
+        np.testing.assert_allclose(effective_weights(maps + 3.7), w,
+                                   rtol=1e-10)
+        # doubling head 0 quadruples its variance against head 1's
+        scaled = effective_weights(maps * np.array([2.0, 1.0])[:, None, None])
+        assert scaled[0] / scaled[1] == pytest.approx(4.0 * w[0] / w[1],
+                                                      rel=1e-10)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty attention map"):
+            effective_weights(np.zeros((2, 0, 3)))
+        with pytest.raises(ValueError, match="empty attention map"):
             head_variance(np.zeros((0, 3)))
+
+
+class TestEffectiveWeightsExact:
+    """The whole-stack variances give exactly the head-by-head weights."""
+
+    def test_corpus_frames(self):
+        checked = 0
+        for spec in synthetic.corpus_specs():
+            bundle, _ = synthetic.generate(spec)
+            for stack in bundle.attention:
+                np.testing.assert_array_equal(
+                    effective_weights(stack),
+                    effective_weights_by_head(stack, DEFAULT_EPS))
+                checked += 1
+        assert checked == 20 * 6
+
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 7), (9, 1), (5, 6)])
+    @pytest.mark.parametrize("heads", [1, 3, 8, 12])
+    def test_degenerate_grids_and_scales(self, grid, heads):
+        gen = np.random.default_rng(heads * 100 + grid[0] * 10 + grid[1])
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            maps = scale * gen.random((heads, *grid))
+            np.testing.assert_array_equal(
+                effective_weights(maps),
+                effective_weights_by_head(maps, DEFAULT_EPS))
+
+    def test_constant_heads(self):
+        gen = np.random.default_rng(13)
+        maps = gen.random((6, 8, 9))
+        maps[[1, 4]] = np.array([0.3, 7.0])[:, None, None]
+        w = effective_weights(maps)
+        np.testing.assert_array_equal(w, effective_weights_by_head(
+            maps, DEFAULT_EPS))
+        np.testing.assert_array_equal(w[[1, 4]], [0.0, 0.0])
+        flat = np.broadcast_to(np.arange(4.0)[:, None, None], (4, 3, 5))
+        np.testing.assert_array_equal(
+            effective_weights(flat), effective_weights_by_head(flat,
+                                                               DEFAULT_EPS))
 
 
 class TestEffectiveWeights:
@@ -149,6 +209,13 @@ class TestBinarize:
         block = mask[14:28, 28:42]
         assert block.all()
         assert mask.sum() == 14 * 14
+
+    def test_patch_one_keeps_the_grid(self):
+        values = np.array([[0.2, 0.7, 0.5], [0.5, 0.1, 0.9]])
+        s = SaliencyMap(values=values, head_weights=np.array([1.0]))
+        mask = binarize(s, 0.5)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, values >= 0.5)
 
     def test_patch_validation(self):
         s = SaliencyMap(values=np.zeros((2, 2)), head_weights=np.array([1.0]))

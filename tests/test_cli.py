@@ -16,10 +16,10 @@ import pytest
 from dynmask import cli, evaluation, tensor_io
 from dynmask.cli import main
 from dynmask.pipeline import PipelineConfig, run
-from dynmask.synthetic import SceneSpec, _sigma_map
+from dynmask.synthetic import SceneSpec, _sigma_map, load_ground_truth
 from dynmask.tensor_io import (load_scene, read_pgm, read_stack, read_tensor,
                                write_pgm, write_stack, write_tensor)
-from oracles import GT_BREAKAGES
+from oracles import GT_BREAKAGES, residual_map
 
 SPEC = {
     "seed": 9,
@@ -703,6 +703,52 @@ class TestResiduals:
             medians.append(report["overall"]["mover_median"])
         capsys.readouterr()
         assert medians[1] > 1.5 * medians[0]
+
+    def test_target_pixels_use_target_intrinsics(self, tmp_path, capsys):
+        # a static scene whose camera 1 has other focal lengths: every
+        # background correspondence still satisfies the epipolar constraint
+        spec = dict(STATIC_SPEC, frames=3, width=64, height=48)
+        scene = tmp_path / "scene"
+        assert main(["generate", _write_spec(tmp_path / "spec.json", spec),
+                     "--out", str(scene)]) == 0
+        manifest = json.loads((scene / "scene.json").read_text())
+        for key in ("fx", "fy"):
+            manifest["cameras"][1][key] *= 1.5
+        (scene / "scene.json").write_text(json.dumps(manifest))
+        out = tmp_path / "res"
+        assert main(["residuals", str(scene), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "residuals.json").read_text())
+        assert len(report["pairs"]) == 2
+        for pair in report["pairs"]:
+            assert pair["background_max"] <= 1e-12
+
+    def test_maps_match_mover_by_mover_oracle(self, tmp_path, capsys):
+        # mover 0 stands still and mover 1 moves, over a visible background
+        spec = json.loads(json.dumps(SPEC))
+        spec["frames"] = 4
+        spec["movers"] = [
+            dict(spec["movers"][0], velocity=[0.0, 0.0, 0.0]),
+            {"shape": "box", "size": 0.3, "start": [-0.5, -0.2, 3.2],
+             "velocity": [0.02, 0.1, 0.0], "color": [0.2, 0.4, 0.9]}]
+        scene = tmp_path / "scene"
+        assert main(["generate", _write_spec(tmp_path / "spec.json", spec),
+                     "--out", str(scene)]) == 0
+        out = tmp_path / "res"
+        assert main(["residuals", str(scene), "--out", str(out)]) == 0
+        capsys.readouterr()
+        cameras = load_scene(scene).cameras
+        gt = load_ground_truth(scene, (4, spec["height"], spec["width"]))
+        for f in range(3):
+            assert set(np.unique(gt.instances[f])) == {-1, 0, 1}
+            got = read_tensor(out / f"residual_{f:04d}_{f + 1:04d}.dmt")
+            want = residual_map(gt, cameras, f)
+            np.testing.assert_array_equal(got, want)
+            # the still mover sits with the background; the moving one not
+            still = gt.instances[f] == 0
+            moving = gt.instances[f] == 1
+            assert got[still].max() <= 1e-6
+            assert np.median(got[moving]) >= 0.01
 
     def test_degenerate_baseline_names_frame_pair(self, tmp_path, capsys):
         spec = _write_spec(tmp_path / "spec.json", STATIC_SPEC)

@@ -17,15 +17,15 @@ import pytest
 from scipy import ndimage
 
 from dynmask import attention, purification, synthetic
-from dynmask.geometry import (project_dynamic_world_batch, project_points,
-                              unproject_pixels)
+from dynmask.geometry import project_points, unproject_pixels
 from dynmask.synthetic import (_SPEC_KEYS, FLOOR_Y, NOISE_AMP, NOISE_BASE,
                                SIGNAL_HEADS, WALL_Z, MoverSpec, SceneSpec,
                                _sigma_map, corpus_specs, generate,
                                load_ground_truth)
 from dynmask.tensor_io import (SceneFormatError, load_scene, read_stack,
                                validate_bundle)
-from oracles import (GT_BREAKAGES, cast_depth, corrupt, project_rigid_batch,
+from oracles import (GT_BREAKAGES, cast_depth, corrupt,
+                     project_dynamic_world_batch, project_rigid_batch,
                      render_frame)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -366,7 +366,7 @@ class TestMoverConsistency:
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
         depths = gt.true_depths[0, rows, cols].astype(np.float64)
         for tgt in (2, 5):
-            disp = gt.displacement(0, 0, tgt)
+            disp = gt.mover_positions[0, tgt] - gt.mover_positions[0, 0]
             disps = np.broadcast_to(disp, (len(rows), 3))
             uv, z = project_dynamic_world_batch(
                 pixels, depths, bundle.cameras[0], bundle.cameras[tgt], disps)
@@ -383,7 +383,7 @@ class TestMoverConsistency:
         rows, cols = np.nonzero(interior)
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
         depths = gt.true_depths[0, rows, cols].astype(np.float64)
-        disp = gt.displacement(0, 0, 3)
+        disp = gt.mover_positions[0, 3] - gt.mover_positions[0, 0]
         uv, z = project_dynamic_world_batch(
             pixels, depths, bundle.cameras[0], bundle.cameras[3],
             np.broadcast_to(disp, (len(rows), 3)))
@@ -395,8 +395,9 @@ class TestMoverConsistency:
     def test_displacement_is_velocity_times_steps(self):
         spec = _mover_spec(velocity=(0.1, -0.02, 0.05))
         _, gt = generate(spec)
-        np.testing.assert_allclose(gt.displacement(0, 1, 4),
-                                   [0.3, -0.06, 0.15], atol=1e-12)
+        np.testing.assert_allclose(
+            gt.mover_positions[0, 4] - gt.mover_positions[0, 1],
+            [0.3, -0.06, 0.15], atol=1e-12)
 
 
 class TestNoiseAndLogits:
