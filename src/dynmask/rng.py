@@ -8,7 +8,9 @@ SplitMix64 finalizer (Steele, Lea & Flood), applied to a counter:
     out[i] = mix64(stream_key + (i + 1) * 0x9E3779B97F4A7C15)
 
 which makes every stream trivially portable, and a shorter draw a prefix
-of a longer one.
+of a longer one.  Stream keys are mixed one word at a time in Python
+integers masked to 64 bits, and draws are mixed in NumPy uint64 arrays;
+both run the same finalizer, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ import hashlib
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF  # wraps plain-int arithmetic to 64 bits
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 
 # 2^-53, scale factor mapping the top 53 bits of a u64 onto [0, 1)
 _U53_INV = float(2.0**-53)
@@ -37,6 +42,15 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix64_int(z: int) -> int:
+    """SplitMix64 finalizer over one integer in [0, 2**64)."""
+    z ^= z >> 30
+    z = (z * _MIX1_INT) & _MASK
+    z ^= z >> 27
+    z = (z * _MIX2_INT) & _MASK
+    return z ^ (z >> 31)
+
+
 def stream_key(seed: int, *path: int | str) -> int:
     """Derive a 64-bit stream key from a seed and a path of ints/strings.
 
@@ -44,17 +58,14 @@ def stream_key(seed: int, *path: int | str) -> int:
     (seed, 1, 3) give unrelated streams.  String elements are hashed with
     blake2b so the mapping is stable across runs and platforms.
     """
-    golden = int(_GOLDEN)
-    key = int(_mix64(np.array([seed & _MASK], dtype=np.uint64))[0])
+    key = _mix64_int(seed & _MASK)
     for part in path:
         if isinstance(part, str):
             digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
             word = int.from_bytes(digest, "little")
         else:
             word = part & _MASK
-        # wrapping arithmetic in plain ints avoids numpy scalar overflow noise
-        key = int(_mix64(np.array([(key + golden * word) & _MASK],
-                                  dtype=np.uint64))[0])
+        key = _mix64_int((key + _GOLDEN_INT * word) & _MASK)
     return key
 
 

@@ -247,22 +247,31 @@ def _intersect_sphere(origin, dirs, a, center, radius):
 
 
 def _intersect_box(origin, dirs, center, half):
+    """Ray parameter of each near hit with an axis-aligned box; inf = miss.
+
+    The slab test runs one axis at a time on (N,) columns: each axis's
+    entry and exit parameters fold into a running maximum `tmin` and
+    minimum `tmax`.  A ray parallel to a slab (|d_k| <= PLANE_EPS) is
+    inside it for all s iff its origin lies between the planes.
+    """
     lo = center - half
     hi = center + half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo[None, :] - origin[None, :]) / dirs
-        t2 = (hi[None, :] - origin[None, :]) / dirs
-    near = np.fmin(t1, t2)
-    far = np.fmax(t1, t2)
-    # rays parallel to a slab: inside the slab iff origin between planes
-    par = np.abs(dirs) <= PLANE_EPS
-    inside = np.broadcast_to((origin >= lo) & (origin <= hi), par.shape)
-    near[par] = np.where(inside[par], -np.inf, np.inf)
-    far[par] = np.where(inside[par], np.inf, -np.inf)
-    tmin = near.max(axis=1)
-    tmax = far.min(axis=1)
-    s = np.where((tmax >= tmin) & (tmin > RAY_EPS), tmin, np.inf)
-    return s
+    tmin = np.full(len(dirs), -np.inf)
+    tmax = np.full(len(dirs), np.inf)
+    for k in range(3):
+        d = dirs[:, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo[k] - origin[k]) / d
+            t2 = (hi[k] - origin[k]) / d
+        near = np.fmin(t1, t2)
+        far = np.fmax(t1, t2)
+        par = np.abs(d) <= PLANE_EPS
+        inside = lo[k] <= origin[k] <= hi[k]
+        near[par] = -np.inf if inside else np.inf
+        far[par] = np.inf if inside else -np.inf
+        np.maximum(tmin, near, out=tmin)
+        np.minimum(tmax, far, out=tmax)
+    return np.where((tmax >= tmin) & (tmin > RAY_EPS), tmin, np.inf)
 
 
 def _hits_after_wall(spec: SceneSpec, origin: np.ndarray, rays: _Rays,

@@ -4,14 +4,15 @@ No pipeline or CLI path runs these, so they live with the tests: the
 head-by-head attention variances, the world-displacement, single-pixel
 and camera-frame-motion warps, the mover-by-mover residual maps, the
 scalar epipolar residual and its first-order estimate, the mean Jaccard
-and boundary scores, the
-boundary measure by whole-frame distance transforms, the analytic depth
-cast at arbitrary pixels, the frame-by-frame render the generator must
-match, the outlier injection of the ablation gate, and
-the table of malformed ground-truth directories that both the loader and
-the CLI must reject.
+and boundary scores, the boundary measure by whole-frame distance
+transforms, the stream key mixed through one-element arrays, the analytic
+depth cast at arbitrary pixels, the three-slab box test, the
+frame-by-frame render the generator must match, the outlier injection of
+the ablation gate, and the table of malformed ground-truth directories
+that both the loader and the CLI must reject.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,10 @@ from dynmask.geometry import (MIN_DEPTH, CameraModel, epipolar_residual_batch,
                               essential_from_poses, pixel_rays,
                               project_points, unproject_pixels)
 from dynmask.synthetic import (_CHECKER_DARK, _CHECKER_LIGHT, CHECKER, FLOOR_Y,
-                               WALL_Z, GroundTruth, SceneSpec, _camera_rays,
-                               _cast_rays,
-                               _intersect_box, _intersect_plane,
-                               _intersect_sphere, _ray_directions)
+                               PLANE_EPS, RAY_EPS, WALL_Z, GroundTruth,
+                               SceneSpec, _camera_rays, _cast_rays,
+                               _intersect_plane, _intersect_sphere,
+                               _ray_directions)
 from dynmask.tensor_io import SceneBundle, read_tensor, write_tensor
 
 
@@ -224,8 +225,48 @@ def boundary_f_frames_edt(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# random streams
+# ---------------------------------------------------------------------------
+
+def stream_key_by_array(seed: int, *path: int | str) -> int:
+    """`rng.stream_key` with every word mixed as a one-element uint64 array
+    through the vectorised finalizer the draws use."""
+    golden = int(rng._GOLDEN)
+    key = int(rng._mix64(np.array([seed & rng._MASK], dtype=np.uint64))[0])
+    for part in path:
+        if isinstance(part, str):
+            digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
+            word = int.from_bytes(digest, "little")
+        else:
+            word = part & rng._MASK
+        key = int(rng._mix64(np.array([(key + golden * word) & rng._MASK],
+                                      dtype=np.uint64))[0])
+    return key
+
+
+# ---------------------------------------------------------------------------
 # synthetic scenes
 # ---------------------------------------------------------------------------
+
+def intersect_box_slabs(origin, dirs, center, half):
+    """`synthetic._intersect_box` with all three slabs at once: (N, 3)
+    entry and exit parameters, reduced by a max and a min over each row."""
+    lo = center - half
+    hi = center + half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo[None, :] - origin[None, :]) / dirs
+        t2 = (hi[None, :] - origin[None, :]) / dirs
+    near = np.fmin(t1, t2)
+    far = np.fmax(t1, t2)
+    # rays parallel to a slab: inside the slab iff origin between planes
+    par = np.abs(dirs) <= PLANE_EPS
+    inside = np.broadcast_to((origin >= lo) & (origin <= hi), par.shape)
+    near[par] = np.where(inside[par], -np.inf, np.inf)
+    far[par] = np.where(inside[par], np.inf, -np.inf)
+    tmin = near.max(axis=1)
+    tmax = far.min(axis=1)
+    return np.where((tmax >= tmin) & (tmin > RAY_EPS), tmin, np.inf)
+
 
 def cast_depth(spec: SceneSpec, cam: CameraModel, frame: int,
                pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +310,8 @@ def render_frame(spec: SceneSpec, cam: CameraModel, frame: int
         if mover.shape == "sphere":
             s = _intersect_sphere(origin, dirs, a, pos, mover.size)
         else:
-            s = _intersect_box(origin, dirs, pos, np.full(3, mover.size / 2.0))
+            s = intersect_box_slabs(origin, dirs, pos,
+                                    np.full(3, mover.size / 2.0))
         candidates.append(s)
     all_s = np.stack(candidates)
     best = all_s.argmin(axis=0)

@@ -139,13 +139,15 @@ class TestToggleSemantics:
         off = run(bundle, PipelineConfig(enable_attention_weighting=False,
                                          enable_purification=False,
                                          enable_uncertainty=False))
-        on = run(bundle, PipelineConfig(enable_attention_weighting=True,
-                                        enable_purification=False,
-                                        enable_uncertainty=False))
+        cfg = PipelineConfig(enable_attention_weighting=True,
+                             enable_purification=False,
+                             enable_uncertainty=False)
+        on = run(bundle, cfg)
         for f in range(bundle.frames):
             maps = bundle.attention[f].astype(np.float64)
             fused = attention.aggregate(maps, weighted=True)
-            expected = attention.binarize(fused, 0.5, patch=bundle.patch)
+            expected = attention.binarize(fused, cfg.theta_saliency,
+                                          patch=bundle.patch)
             assert np.array_equal(on.masks[f], expected)
         assert not np.array_equal(on.masks, off.masks)
 
@@ -162,7 +164,8 @@ class TestToggleSemantics:
         for f in range(bundle.frames):
             maps = bundle.attention[f].astype(np.float64)
             fused = attention.aggregate(maps, weighted=True)
-            initial[f] = attention.binarize(fused, 0.5, patch=bundle.patch)
+            initial[f] = attention.binarize(fused, cfg.theta_saliency,
+                                            patch=bundle.patch)
             sal[f] = fused.values
         cloud = purification.unproject_mask(bundle, initial, sal)
         cloud = purification.purify(cloud, tau=cfg.tau,

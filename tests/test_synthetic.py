@@ -24,7 +24,7 @@ from dynmask.synthetic import (_SPEC_KEYS, FLOOR_Y, NOISE_AMP, NOISE_BASE,
                                load_ground_truth)
 from dynmask.tensor_io import (SceneFormatError, load_scene, read_stack,
                                validate_bundle)
-from oracles import (GT_BREAKAGES, cast_depth, corrupt,
+from oracles import (GT_BREAKAGES, cast_depth, corrupt, intersect_box_slabs,
                      project_dynamic_world_batch, project_rigid_batch,
                      render_frame)
 
@@ -266,6 +266,11 @@ def _assert_frames_match_oracle(spec, bundle, gt):
         np.testing.assert_array_equal(gt.instances[f], instance)
 
 
+# the oracle specs with a box mover: the box spec and half the corpus
+_BOX_SPECS = sorted(name for name, spec in _ORACLE_SPECS.items()
+                    if any(m.shape == "box" for m in spec.movers))
+
+
 class TestSharedRays:
     """Rays cast once per scene render what per-frame rays would."""
 
@@ -274,6 +279,25 @@ class TestSharedRays:
         spec = _ORACLE_SPECS[name]
         bundle, gt = generate(spec)
         _assert_frames_match_oracle(spec, bundle, gt)
+
+    @pytest.mark.parametrize("name", _BOX_SPECS)
+    def test_box_hits_match_slab_oracle(self, name):
+        spec = _ORACLE_SPECS[name]
+        w, h = spec.width, spec.height
+        us, vs = np.meshgrid(np.arange(w), np.arange(h))
+        pixels = np.column_stack([us.ravel(), vs.ravel()])
+        hits = 0
+        for f, cam in enumerate(spec.cameras()):
+            dirs = synthetic._ray_directions(pixels, cam)
+            for mover in spec.movers:
+                if mover.shape != "box":
+                    continue
+                args = (cam.center, dirs, mover.positions(spec.frames)[f],
+                        np.full(3, mover.size / 2.0))
+                s = synthetic._intersect_box(*args)
+                np.testing.assert_array_equal(s, intersect_box_slabs(*args))
+                hits += np.isfinite(s).sum()
+        assert hits > 0
 
     def test_coincident_movers_lower_index_wins(self):
         bundle, gt = generate(_coincident_spec())
@@ -306,6 +330,53 @@ class TestSharedRays:
             np.testing.assert_array_equal(cam.K, first.K)
             np.testing.assert_array_equal(cam.R, first.R)
             np.testing.assert_array_equal(cam.center[1:], first.center[1:])
+
+
+class TestBoxSlabs:
+    """The per-axis box test equals the three-slab oracle bit for bit."""
+
+    @staticmethod
+    def _rays(draw, count):
+        dirs = draw.normal(size=(count, 3))
+        # components exactly zero (both signs), and nonzero but within
+        # PLANE_EPS, so rays run parallel to one slab or two
+        rows = draw.permutation(count)[:count // 2]
+        axes = draw.integers(0, 3, size=len(rows))
+        tiny = np.array([0.0, -0.0, synthetic.PLANE_EPS,
+                         -synthetic.PLANE_EPS, 0.3 * synthetic.PLANE_EPS,
+                         -1e-300])
+        dirs[rows, axes] = tiny[draw.integers(0, len(tiny), size=len(rows))]
+        both = rows[:len(rows) // 4]
+        dirs[both, (axes[:len(both)] + 1) % 3] = 0.0
+        return dirs
+
+    def test_random_rays(self):
+        draw = np.random.default_rng(1986)
+        center = np.array([0.2, -0.1, 3.0])
+        half = np.array([0.4, 0.25, 0.5])
+        lo, hi = center - half, center + half
+        origins = [
+            np.zeros(3),                          # outside
+            center,                               # inside
+            center + 0.5 * half,                  # inside, off centre
+            np.array([lo[0], center[1], center[2]]),   # on the -x face
+            np.array([center[0], hi[1], center[2]]),   # on the +y face
+            np.array([hi[0], lo[1], center[2]]),       # on an edge
+            lo.copy(),                                 # on a corner
+            np.array([center[0], center[1], lo[2] - 1.0]),  # in x and y slabs
+            # outside the box, on the plane of a face or of two
+            np.array([lo[0], center[1], lo[2] - 1.0]),
+            np.array([hi[0], lo[1], hi[2] + 1.0]),
+        ]
+        parallel_hits = 0
+        for origin in origins:
+            dirs = self._rays(draw, 4000)
+            s = synthetic._intersect_box(origin, dirs, center, half)
+            np.testing.assert_array_equal(
+                s, intersect_box_slabs(origin, dirs, center, half))
+            par = (np.abs(dirs) <= synthetic.PLANE_EPS).any(axis=1)
+            parallel_hits += np.isfinite(s[par]).sum()
+        assert parallel_hits > 0
 
 
 class TestRigidConsistency:
